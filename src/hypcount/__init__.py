@@ -45,10 +45,12 @@ from .trig import (
 )
 from .kummer import (
     admissible,
+    admissible_profiles,
     in_Pi3,
     is_affine_plane,
     kummer_member,
     lattice_sum_oracle,
+    orbit_counts_by_type,
     pairing,
     translation_orbits,
 )
@@ -101,10 +103,12 @@ __all__ = [
     "theta_block",
     "theta_block_from_lattice_sum",
     "admissible",
+    "admissible_profiles",
     "in_Pi3",
     "is_affine_plane",
     "kummer_member",
     "lattice_sum_oracle",
+    "orbit_counts_by_type",
     "pairing",
     "translation_orbits",
     "CountReport",

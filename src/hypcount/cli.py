@@ -21,6 +21,15 @@ from . import counting, kummer, qforms, verify
 
 DEFAULT_ORDER = 32
 
+# Largest genus per `genus` layout.  The aggregate layouts count orbit
+# classes per shape, and their cost is one f_gk per shape: genus_total(g, 32)
+# took 0.45 s at g = 12 (1,659 shapes) on a 2-vCPU x86-64 VM with
+# Python 3.11, growing about 1.5x per genus (2.1 s at g = 16).  JSON lists
+# every orbit class by enumeration, which takes 6 s at g = 6 (9,116 classes)
+# and about 5x more per genus.
+GENUS_MAX = 12
+GENUS_MAX_LISTED = 6
+
 
 def _canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
@@ -136,8 +145,14 @@ def _report_table_text(report) -> str:
 
 
 def cmd_genus(args) -> int:
-    if not 1 <= args.g <= 6:
-        print("error: genus must be between 1 and 6", file=sys.stderr)
+    if args.format == "json" and not 1 <= args.g <= GENUS_MAX_LISTED:
+        print(
+            f"error: genus must be between 1 and {GENUS_MAX_LISTED} with --format json",
+            file=sys.stderr,
+        )
+        return 2
+    if not 1 <= args.g <= GENUS_MAX:
+        print(f"error: genus must be between 1 and {GENUS_MAX}", file=sys.stderr)
         return 2
     report = counting.genus_total(args.g, args.order)
     if args.format == "json":
@@ -149,7 +164,7 @@ def cmd_genus(args) -> int:
             _emit(_report_table_text(report), args.out)
     else:
         lines = [
-            f"genus {args.g}: {len(report.orbits)} orbit classes, "
+            f"genus {args.g}: {sum(report.shape_multiplicities().values())} orbit classes, "
             f"degree {2 * args.g + 2}, order {args.order}",
         ]
         for shape, mult in sorted(report.shape_multiplicities().items()):

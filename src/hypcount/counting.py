@@ -20,7 +20,7 @@ two is a strong end-to-end check of the whole calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError
 from .fps import Series
@@ -205,16 +205,28 @@ class OrbitEntry:
 
 @dataclass(frozen=True)
 class CountReport:
+    """Genus aggregate.  ``shapes`` maps each shape label to (number of
+    translation-orbit classes of that shape, the shape's series); ``total``
+    is the sum of multiplicity times series.  ``orbits`` lists the classes
+    one by one and is enumerated on first access only."""
+
     genus: int
     order: int
-    orbits: tuple
+    shapes: dict
     total: Series
 
+    @cached_property
+    def orbits(self) -> tuple:
+        entries = []
+        for orbit in kummer.translation_orbits(2 * self.genus + 2):
+            shape = shape_label(orbit.rep)
+            entries.append(
+                OrbitEntry(orbit.rep, orbit.size, orbit.coset, shape, self.shapes[shape][1])
+            )
+        return tuple(entries)
+
     def shape_multiplicities(self) -> dict:
-        counts: dict = {}
-        for entry in self.orbits:
-            counts[entry.shape] = counts.get(entry.shape, 0) + 1
-        return counts
+        return {shape: mult for shape, (mult, _) in self.shapes.items()}
 
     def to_json(self) -> dict:
         return {
@@ -226,16 +238,17 @@ class CountReport:
 
     def table_rows(self):
         """Rows shaped like the reference coefficient table: one row per
-        shape with the bare shape series, then the aggregated total; columns
+        shape with the bare shape series, by valuation then name (shapes
+        that vanish to this order last), then the aggregated total; columns
         are the u-exponents 2..order."""
-        shapes: dict = {}
-        for entry in self.orbits:
-            shapes.setdefault(entry.shape, (entry.series, 0))
-            series, mult = shapes[entry.shape]
-            shapes[entry.shape] = (series, mult + 1)
+
+        def key(shape):
+            val = self.shapes[shape][1].valuation()
+            return (val is None, val or 0, shape)
+
         rows = []
-        for shape in sorted(shapes, key=lambda s: (shapes[s][0].valuation(), s)):
-            series, mult = shapes[shape]
+        for shape in sorted(self.shapes, key=key):
+            mult, series = self.shapes[shape]
             rows.append((shape, mult, [series[n] for n in range(2, self.order + 1)]))
         rows.append(
             (f"F_{self.genus}(u)", None, [self.total[n] for n in range(2, self.order + 1)])
@@ -253,16 +266,18 @@ class CountReport:
 
 
 def genus_total(g: int, order: int) -> CountReport:
-    """Aggregate the counting series over one representative per translation
-    orbit at degree 2g + 2 (counting classes up to surface translation)."""
+    """Aggregate the counting series over the translation-orbit classes at
+    degree 2g + 2 (counting classes up to surface translation).  The classes
+    are counted per shape by Burnside's lemma, so f_gk runs once per shape."""
     if g < 1:
         raise DomainError("genus must be >= 1")
-    entries = []
+    # types and shapes correspond one to one: the label records |P| (as the
+    # power of E) and every value other than 1 on P and 0 off P
+    shapes = {
+        shape_label(rep): (count, f_gk(rep, order).series)
+        for rep, count in kummer.orbit_counts_by_type(2 * g + 2).items()
+    }
     total = Series.zero(order)
-    for orbit in kummer.translation_orbits(2 * g + 2):
-        cs = f_gk(orbit.rep, order)
-        entries.append(
-            OrbitEntry(orbit.rep, orbit.size, orbit.coset, cs.shape, cs.series)
-        )
-        total = total + cs.series
-    return CountReport(g, order, tuple(entries), total)
+    for mult, series in shapes.values():
+        total = total + series * mult
+    return CountReport(g, order, shapes, total)

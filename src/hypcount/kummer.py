@@ -15,11 +15,13 @@ differ from one of the two reference sets eps0/eps1 by a Pi_3 element.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from .errors import BoundTooSmall, DomainError
+from .errors import BoundTooSmall, DomainError, HypcountError
 from .fps import Series, XPoly
 from . import qforms, trig
 
@@ -251,34 +253,127 @@ def _compositions(total: int, slots: int):
             yield (head,) + tail
 
 
-def translation_orbits(degree: int) -> list:
-    """All admissible multiplicity profiles of the given total, grouped under
-    the sixteen-point translation action; one Orbit per class, sorted by
-    representative.
+def _check_degree(degree: int) -> None:
+    if degree < 4 or degree % 2:
+        raise DomainError("degree must be an even integer >= 4")
+
+
+def admissible_profiles(degree: int):
+    """Every admissible multiplicity profile of the given total, support by
+    support through the two coset tables.
 
     A profile is odd exactly on its support P, so it decomposes as 1 on P
     plus twice a composition of (degree - |P|)/2 over all sixteen slots;
-    admissibility depends only on P, so the scan walks the two coset tables.
+    admissibility depends only on P.
     """
-    if degree < 4 or degree % 2:
-        raise DomainError("degree must be an even integer >= 4")
-    orbits: dict = {}
+    _check_degree(degree)
     for which in ("even", "odd"):
         for P in coset_members(which):
             size = mask_size(P)
             if size > degree:
                 continue
-            spread = (degree - size) // 2
-            support = points_of_mask(P)
             base = [1 if P >> v & 1 else 0 for v in POINTS]
-            for comp in _compositions(spread, 16):
-                config = tuple(
-                    base[v] + 2 * comp[v] for v in POINTS
-                )
-                rep = orbit_rep(config)
-                if rep not in orbits:
-                    orbits[rep] = Orbit(rep, len(orbit_of(config)), which)
+            for comp in _compositions((degree - size) // 2, 16):
+                yield tuple(base[v] + 2 * comp[v] for v in POINTS)
+
+
+def translation_orbits(degree: int) -> list:
+    """All admissible multiplicity profiles of the given total, grouped under
+    the sixteen-point translation action; one Orbit per class, sorted by
+    representative."""
+    orbits: dict = {}
+    for config in admissible_profiles(degree):
+        rep = orbit_rep(config)
+        if rep not in orbits:
+            coset = admissible(odd_support(rep))
+            orbits[rep] = Orbit(rep, len(orbit_of(config)), coset)
     return [orbits[rep] for rep in sorted(orbits)]
+
+
+# ---------------------------------------------------------------------------
+# orbit counts per profile type by Burnside's lemma
+# ---------------------------------------------------------------------------
+
+
+def _partitions(total: int, parts: int, cap: int | None = None):
+    """Partitions of total into at most `parts` positive parts, each part
+    <= cap, as non-increasing tuples."""
+    if total == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    top = total if cap is None else min(total, cap)
+    for head in range(top, 0, -1):
+        for tail in _partitions(total - head, parts - 1, head):
+            yield (head,) + tail
+
+
+def _multinomial(mults) -> int:
+    """Orderings of a multiset with the given value multiplicities."""
+    n = factorial(sum(mults))
+    for m in mults:
+        n //= factorial(m)
+    return n
+
+
+def _fixed_by_translation(on_mults, off_mults) -> int:
+    """Profiles with the given value multiplicities on P and off P that a
+    nonzero translation t fixing P also fixes.  Such a profile is constant
+    on the pairs {v, v + t}, so each value must occur an even number of
+    times, and the profile is an ordering of the halved multiset over the
+    pairs inside P times one over the pairs outside."""
+    if any(m % 2 for m in on_mults) or any(m % 2 for m in off_mults):
+        return 0
+    return _multinomial([m // 2 for m in on_mults]) * _multinomial(
+        [m // 2 for m in off_mults]
+    )
+
+
+def orbit_counts_by_type(degree: int) -> dict:
+    """Number of translation-orbit classes of admissible profiles of the
+    given total, per profile type, without enumerating the profiles.
+
+    A type is the multiset of values (sorted(profile)); since the odd values
+    sit exactly on P, it fixes |P|, the values on P and the values off P.
+    Burnside's lemma gives its class count as (1/16) sum_t Fix(t), summed
+    over the admissible supports P of that size: t = 0 fixes every ordering
+    of the two multisets, and t != 0 fixes a profile only if it fixes P.
+    Returns {representative profile: class count}, one entry per type.
+    """
+    _check_degree(degree)
+    supports: dict = {}  # |P| -> [first P, number of P, sum over P of #{t != 0 fixing P}]
+    for which in ("even", "odd"):
+        for P in coset_members(which):
+            entry = supports.setdefault(mask_size(P), [P, 0, 0])
+            entry[1] += 1
+            entry[2] += sum(1 for t in POINTS[1:] if translate_mask(P, t) == P)
+    counts = {}
+    for size, (P, n_supports, n_fixing) in sorted(supports.items()):
+        if size > degree:
+            continue
+        inside = points_of_mask(P)
+        outside = points_of_mask(FULL_MASK ^ P)
+        spread = (degree - size) // 2
+        for on_spread in range(spread + 1):
+            for on in _partitions(on_spread, size):
+                for off in _partitions(spread - on_spread, 16 - size):
+                    on_values = [1 + 2 * a for a in on] + [1] * (size - len(on))
+                    off_values = [2 * b for b in off] + [0] * (16 - size - len(off))
+                    on_mults = list(Counter(on_values).values())
+                    off_mults = list(Counter(off_values).values())
+                    fixed = n_supports * _multinomial(on_mults) * _multinomial(off_mults)
+                    fixed += n_fixing * _fixed_by_translation(on_mults, off_mults)
+                    if fixed % 16:
+                        raise HypcountError(
+                            f"Burnside sum {fixed} for values {sorted(on_values + off_values)} "
+                            "is not divisible by 16"
+                        )
+                    rep = [0] * 16
+                    for v, kv in zip(inside + outside, on_values + off_values):
+                        rep[v] = kv
+                    counts[tuple(rep)] = fixed // 16
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -404,8 +405,7 @@ def check_coset_structure(order, rng):
 
 
 def check_orbit_partition(order, rng):
-    from itertools import product
-
+    by_degree = {}
     for degree in (4, 6):
         # independent recount: scan every profile of the given total
         admissible = 0
@@ -425,14 +425,25 @@ def check_orbit_partition(order, rng):
                 profile.pop()
 
         scan(0, degree, [])
-        orbits = kummer.translation_orbits(degree)
+        orbits = by_degree[degree] = kummer.translation_orbits(degree)
         total = sum(o.size for o in orbits)
         if total != admissible:
             return False, f"degree {degree}: orbit sizes sum {total} != {admissible}"
-    orbits8 = kummer.translation_orbits(8)
-    if sum(o.size for o in orbits8) != 824:
+    by_degree[8] = kummer.translation_orbits(8)
+    if sum(o.size for o in by_degree[8]) != 824:
         return False, "degree 8 partition total changed"
-    return True, "orbit sizes partition the admissible profiles (degrees 4, 6, 8)"
+    # the type of a profile is its value multiset; it fixes the shape
+    for degree, orbits in by_degree.items():
+        enumerated = Counter(tuple(sorted(o.rep)) for o in orbits)
+        burnside = {
+            tuple(sorted(rep)): n for rep, n in kummer.orbit_counts_by_type(degree).items()
+        }
+        if burnside != enumerated:
+            return False, f"degree {degree}: Burnside class counts per type differ from enumeration"
+    return True, (
+        "orbit sizes partition the admissible profiles; Burnside class counts "
+        "per type equal enumeration (degrees 4, 6, 8)"
+    )
 
 
 def check_pairing_laws(order, rng):
@@ -463,21 +474,10 @@ def check_pairing_laws(order, rng):
 # ---------------------------------------------------------------------------
 
 
-def _admissible_profiles(degree):
-    for which in ("even", "odd"):
-        for P in kummer.coset_members(which):
-            size = kummer.mask_size(P)
-            if size > degree:
-                continue
-            base = [1 if P >> v & 1 else 0 for v in range(16)]
-            for comp in kummer._compositions((degree - size) // 2, 16):
-                yield tuple(base[v] + 2 * comp[v] for v in range(16))
-
-
 def check_two_route(order, rng):
     count = 0
     for degree in (4, 6, 8):
-        for cfg in _admissible_profiles(degree):
+        for cfg in kummer.admissible_profiles(degree):
             if counting.f_gk(cfg, 12).series != counting.f_gk_via_potential(cfg, 12):
                 return False, f"routes differ on {cfg}"
             count += 1
@@ -487,7 +487,7 @@ def check_two_route(order, rng):
 def check_ord_law(order, rng):
     checked = 0
     for degree in (4, 6, 8, 10):
-        for cfg in _admissible_profiles(degree):
+        for cfg in kummer.admissible_profiles(degree):
             expect = counting.min_arith_genus(cfg)
             series = counting.f_gk(cfg, expect + 1).series
             if series.valuation() != expect - 1:

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 
 import pytest
 
 from hypcount import cli
+from hypcount.fps import Series
 
 
 def run(capsys, *argv):
@@ -123,8 +125,45 @@ def test_genus_text_totals(capsys):
 
 
 def test_genus_out_of_range(capsys):
-    code, _, err = run(capsys, "genus", "--g", "7", "--order", "4")
+    code, _, err = run(capsys, "genus", "--g", "13", "--order", "4")
     assert code == 2
+    assert err.count("\n") == 1 and "between 1 and 12" in err
+    code, _, err = run(capsys, "genus", "--g", "7", "--order", "4", "--format", "json")
+    assert code == 2
+    assert err.count("\n") == 1 and "between 1 and 6" in err
+    code, out, _ = run(capsys, "genus", "--g", "12", "--order", "4")
+    assert code == 0
+    assert out.startswith("genus 12: 7694506 orbit classes")
+
+
+def _table_total(out):
+    """The F_g(u) row of the table layout by column: cells are right-aligned
+    under the q^n headers and an empty cell is zero."""
+    lines = out.splitlines()
+    header, row = lines[0], lines[-1]
+    assert row.startswith("F_")
+    total = {}
+    start = header.index("mult") + len("mult")
+    for m in re.finditer(r"q\^(\d+)", header):
+        cell = row[start : m.end()].strip()
+        total[int(m.group(1))] = int(cell) if cell else 0
+        start = m.end()
+    return total
+
+
+@pytest.mark.parametrize("g, order", [(5, 32), (3, 11)])
+def test_genus_table_total_matches_text_and_json(capsys, g, order):
+    # a shape series that vanishes to this order used to crash the table sort
+    argv = ("genus", "--g", str(g), "--order", str(order))
+    code, table, _ = run(capsys, *argv, "--table")
+    assert code == 0
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    total = [int(c) for c in json.loads(out)["total"]]
+    assert _table_total(table) == {n: total[n] for n in range(2, order + 1)}
+    assert f"total: {Series(total, order).format(var='u')}\n" in text
 
 
 # -- orbits -----------------------------------------------------------------

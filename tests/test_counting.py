@@ -22,17 +22,6 @@ EPS1 = (1, 2, 3, 4, 8, 12)
 COLUMN0 = (0, 1, 2, 3)
 
 
-def admissible_profiles(degree):
-    for which in ("even", "odd"):
-        for P in kummer.coset_members(which):
-            size = kummer.mask_size(P)
-            if size > degree:
-                continue
-            base = [1 if P >> v & 1 else 0 for v in range(16)]
-            for comp in kummer._compositions((degree - size) // 2, 16):
-                yield tuple(base[v] + 2 * comp[v] for v in range(16))
-
-
 # -- f_gk -----------------------------------------------------------------------
 
 
@@ -94,7 +83,7 @@ def test_potential_route_zero_for_inadmissible():
 
 def test_routes_agree_exhaustively_small():
     for degree in (4, 6):
-        for cfg in admissible_profiles(degree):
+        for cfg in kummer.admissible_profiles(degree):
             assert counting.f_gk(cfg, 10).series == counting.f_gk_via_potential(cfg, 10)
 
 
@@ -114,7 +103,7 @@ def test_min_genus_rejects_inadmissible():
 
 def test_min_genus_matches_valuation():
     for degree in (4, 6, 8):
-        for cfg in admissible_profiles(degree):
+        for cfg in kummer.admissible_profiles(degree):
             h = counting.min_arith_genus(cfg)
             series = counting.f_gk(cfg, h + 1).series
             assert series.valuation() == h - 1, cfg
@@ -141,6 +130,31 @@ def test_genus1_report():
     assert len(report.orbits) == 1
     assert report.orbits[0].size == 4
     assert report.total == Series.one(8)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_genus_total_equals_sum_over_enumerated_orbits(g):
+    order = 16
+    report = counting.genus_total(g, order)
+    want = Series.zero(order)
+    for entry in report.orbits:
+        series = counting.f_gk(entry.rep, order).series
+        assert entry.series == series
+        want = want + series
+    assert report.total == want
+    assert len(report.orbits) == sum(report.shape_multiplicities().values())
+
+
+def test_genus_total_enumerates_orbits_only_on_access(monkeypatch):
+    def no_enumeration(degree):
+        raise AssertionError("translation_orbits called")
+
+    monkeypatch.setattr(kummer, "translation_orbits", no_enumeration)
+    report = counting.genus_total(3, 12)
+    assert report.shape_multiplicities()["A1(u^4)^2"] == 3
+    assert report.table_rows()[-1][0] == "F_3(u)"
+    with pytest.raises(AssertionError):
+        report.orbits
 
 
 def test_genus2_report_matches_divisor_series():

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hypcount.errors import BoundTooSmall, DomainError
+from hypcount.errors import BoundTooSmall, DomainError, HypcountError
 from hypcount.fps import Series
 from hypcount import kummer, qforms, trig
 
@@ -198,10 +199,38 @@ def test_orbit_rep_is_lex_least():
 
 
 def test_orbits_reject_bad_degree():
-    with pytest.raises(DomainError):
-        kummer.translation_orbits(5)
-    with pytest.raises(DomainError):
-        kummer.translation_orbits(2)
+    for degree in (5, 2):
+        with pytest.raises(DomainError):
+            kummer.translation_orbits(degree)
+        with pytest.raises(DomainError):
+            kummer.orbit_counts_by_type(degree)
+        with pytest.raises(DomainError):
+            next(kummer.admissible_profiles(degree))
+
+
+# -- Burnside class counts --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8, 10, 12])
+def test_burnside_counts_equal_enumeration(degree):
+    from hypcount.counting import shape_label
+
+    enumerated = Counter(shape_label(o.rep) for o in kummer.translation_orbits(degree))
+    burnside = Counter()
+    for rep, n in kummer.orbit_counts_by_type(degree).items():
+        assert sum(rep) == degree
+        assert kummer.admissible(kummer.odd_support(rep)) is not None
+        burnside[shape_label(rep)] += n
+    assert burnside == enumerated
+
+
+def test_burnside_rejects_indivisible_sum(monkeypatch):
+    fixed = kummer._fixed_by_translation
+    monkeypatch.setattr(
+        kummer, "_fixed_by_translation", lambda on, off: fixed(on, off) + 1
+    )
+    with pytest.raises(HypcountError, match="not divisible by 16"):
+        kummer.orbit_counts_by_type(4)
 
 
 # -- lattice-sum oracle ----------------------------------------------------------------
