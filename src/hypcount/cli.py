@@ -215,6 +215,35 @@ CACHE_ROSTER = (
 )
 
 
+def _load_cached(stored: str):
+    """(data, recomputed form) of one cache file's text; a ValueError says
+    why the file is not a valid cache entry."""
+    try:
+        data = json.loads(stored)
+    except ValueError as exc:
+        raise ValueError(f"not JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
+    for key in ("name", "params", "order", "coeffs"):
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+    params, order = data["params"], data["order"]
+    if not (isinstance(params, list) and len(params) <= 1
+            and all(type(p) is int for p in params)):
+        raise ValueError("params must be a list of at most one integer")
+    if type(order) is not int or order < 0:
+        raise ValueError("order must be a nonnegative integer")
+    if not isinstance(data["coeffs"], list):
+        raise ValueError("coeffs must be a list")
+    try:
+        form = qforms.named_form(
+            data["name"], k=params[0] if params else None, order=order
+        )
+    except DomainError as exc:
+        raise ValueError(str(exc)) from None
+    return data, form
+
+
 def cmd_cache(args) -> int:
     cache_dir = args.dir or os.environ.get("HYPCOUNT_CACHE_DIR")
     if not cache_dir:
@@ -242,14 +271,14 @@ def cmd_cache(args) -> int:
                 path = os.path.join(cache_dir, entry)
                 with open(path) as fh:
                     stored = fh.read()
-                data = json.loads(stored)
-                form = qforms.named_form(
-                    data["name"],
-                    k=data["params"][0] if data["params"] else None,
-                    order=data["order"],
-                )
-                fresh = _canonical_json(form.to_json())
                 checked += 1
+                try:
+                    data, form = _load_cached(stored)
+                except ValueError as exc:
+                    failures += 1
+                    print(f"INVALID {entry}: {exc}")
+                    continue
+                fresh = _canonical_json(form.to_json())
                 if fresh != stored:
                     failures += 1
                     stored_coeffs = data["coeffs"]

@@ -15,6 +15,9 @@ order", not "unknown".
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
+from math import lcm
+from operator import mul
 
 from .errors import (
     DomainError,
@@ -28,6 +31,8 @@ Rational = int | Fraction
 
 def _norm(c) -> Rational:
     """Canonical coefficient: integral Fractions collapse to int."""
+    if type(c) is int:  # skips the slow ABC isinstance check on the hot path
+        return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     if isinstance(c, int):
@@ -46,6 +51,126 @@ def _rat_parse(s: str) -> Rational:
         num, den = s.split("/")
         return _norm(Fraction(int(num), int(den)))
     return int(s)
+
+
+# -- integer kernel ------------------------------------------------------------
+#
+# Products and inverses run on integer numerators over one common coefficient
+# denominator (not to be confused with Series.denom, the exponent
+# denominator).  When the sparser operand has fewer than KRONECKER_MIN
+# nonzero terms, the product takes the zero-skipping schoolbook loop;
+# otherwise it takes Kronecker substitution: pack each operand into one big
+# int with fields wide enough for any product coefficient, do one bigint
+# multiply, unpack the signed fields (D. Harvey, J. Symbolic Comput. 44
+# (2009)).  Crossover measured on a 2-vCPU x86-64 VM with Python 3.11 and
+# 4-bit coefficients: dense operands of 13 / 20 / 33 terms took 16 / 31 /
+# 73 us by schoolbook against 16 / 26 / 30 us by Kronecker; a 1024-term
+# operand against one with 10 / 20 / 30 nonzero terms took 0.67 / 0.68 /
+# 1.44 ms against 0.80 / 0.70 / 0.72 ms.
+KRONECKER_MIN = 20
+_LEAF = 16  # fields packed or unpacked one at a time below this
+
+
+def _clear(coeffs) -> tuple:
+    """(numerators, den) with coeffs[i] == numerators[i] / den."""
+    if set(map(type, coeffs)) <= {int}:
+        return coeffs, 1
+    den = lcm(*(c.denominator for c in coeffs if type(c) is not int))
+    return [c * den if type(c) is int else c.numerator * (den // c.denominator)
+            for c in coeffs], den
+
+
+def _valuation(c) -> int:
+    """Index of the first nonzero entry of c, or len(c) if there is none."""
+    return next(compress(count(), c), len(c))
+
+
+def _school_mul(a, b, n: int) -> list[int]:
+    """Coefficients 0..n of a*b by the zero-skipping schoolbook loop."""
+    a, b = a[: n + 1], b[: n + 1]
+    if len(b) <= n:
+        b = list(b) + [0] * (n + 1 - len(b))
+    # skip leading zero runs; partial products in nested sums start high
+    alo, blo = _valuation(a), _valuation(b)
+    out = [0] * (n + 1)
+    for i in range(alo, min(len(a), n + 1 - blo)):
+        ai = a[i]
+        if ai:
+            for j in range(blo, n + 1 - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _pack(c, lo: int, hi: int, w: int) -> int:
+    """sum of c[lo + i] * 2**(w*i) for lo <= lo + i < hi."""
+    if hi - lo <= _LEAF:
+        x = 0
+        for v in reversed(c[lo:hi]):
+            x = (x << w) + v
+        return x
+    mid = (lo + hi) // 2
+    return _pack(c, lo, mid, w) + (_pack(c, mid, hi, w) << (w * (mid - lo)))
+
+
+def _split(x: int, bits: int) -> tuple[int, int]:
+    """(low, high) with x == low + high * 2**bits and |low| < 2**(bits-1)."""
+    low = x & ((1 << bits) - 1)
+    x >>= bits
+    if low >> (bits - 1):
+        return low - (1 << bits), x + 1
+    return low, x
+
+
+def _unpack(x: int, fields: int, w: int, out: list) -> None:
+    """Append the signed w-bit fields of x, lowest first."""
+    if fields <= _LEAF:
+        mask, sign = (1 << w) - 1, 1 << (w - 1)
+        for _ in range(fields - 1):
+            low = x & mask
+            x >>= w
+            if low & sign:
+                low -= mask + 1
+                x += 1
+            out.append(low)
+        out.append(x)
+        return
+    half = fields // 2
+    low, high = _split(x, w * half)
+    _unpack(low, half, w, out)
+    _unpack(high, fields - half, w, out)
+
+
+def _kron_mul(a: list, b: list, n: int) -> list[int]:
+    """Coefficients 0..n of a*b by Kronecker substitution; a and b are
+    lists and are consumed."""
+    alo, blo = _valuation(a), _valuation(b)
+    top = n - alo - blo  # highest index needed of the shifted product
+    if top < 0 or alo == len(a) or blo == len(b):
+        return [0] * (n + 1)
+    del a[: alo], a[top + 1 :], b[: blo], b[top + 1 :]
+    while not a[-1]:
+        a.pop()
+    while not b[-1]:
+        b.pop()
+    # every product coefficient is below 2**(w-1) in magnitude
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    w = bound.bit_length() + 1
+    x = _pack(a, 0, len(a), w) * _pack(b, 0, len(b), w)
+    out = [0] * (alo + blo)
+    _unpack(_split(x, w * (top + 1))[0], top + 1, w, out)
+    return out
+
+
+def _int_mul(a, b, n: int) -> list[int]:
+    """Coefficients 0..n of the product of the integer sequences a and b."""
+    if n < KRONECKER_MIN:  # neither operand can reach the crossover
+        return _school_mul(a, b, n)
+    a, b = list(a[: n + 1]), list(b[: n + 1])
+    if min(len(a) - a.count(0), len(b) - b.count(0)) < KRONECKER_MIN:
+        return _school_mul(a, b, n)
+    return _kron_mul(a, b, n)
 
 
 class Series:
@@ -152,18 +277,12 @@ class Series:
         if isinstance(other, (int, Fraction)):
             return Series([c * other for c in self.coeffs], self.order, self.denom)
         a, b, order, d = self._align(other)
-        ac, bc = a.coeffs, b.coeffs
-        # skip leading zero runs; partial products in nested sums start high
-        alo = next((i for i, c in enumerate(ac[: order + 1]) if c), order + 1)
-        blo = next((i for i, c in enumerate(bc[: order + 1]) if c), order + 1)
-        out = [0] * (order + 1)
-        for i in range(alo, order + 1 - blo):
-            ai = ac[i]
-            if ai:
-                for j in range(blo, order + 1 - i):
-                    bj = bc[j]
-                    if bj:
-                        out[i + j] += ai * bj
+        an, aden = _clear(a.coeffs[: order + 1])
+        bn, bden = _clear(b.coeffs[: order + 1])
+        out = _int_mul(an, bn, order)
+        den = aden * bden
+        if den != 1:
+            out = [Fraction(c, den) if c else 0 for c in out]
         return Series(out, order, d)
 
     __rmul__ = __mul__
@@ -187,15 +306,24 @@ class Series:
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        inv0 = _norm(Fraction(1, 1) / a0)
-        out = [inv0] + [0] * self.order
-        for n in range(1, self.order + 1):
-            acc = 0
-            for k in range(1, n + 1):
-                ak = self.coeffs[k]
-                if ak:
-                    acc += ak * out[n - k]
-            out[n] = _norm(-Fraction(acc) / a0) if acc else 0
+        num, den = _clear(self.coeffs)
+        n0 = num[0]
+        # A = N/den; Ahat(x) = N(n0 x)/n0 has integer coefficients
+        # N_k n0^(k-1) and constant term 1, so its inverse C is integral
+        tail, p = [], 1
+        for c in num[1:]:
+            tail.append(c * p)
+            p *= n0
+        inv = [1]
+        for _ in range(self.order):
+            inv.append(-sum(map(mul, tail, reversed(inv))))
+        # 1/A = den/N and N(x) = n0 Ahat(x/n0): [q^n] 1/A = den C_n / n0^(n+1)
+        if den == 1 and n0 == 1:
+            return Series(inv, self.order, self.denom)
+        out, p = [], n0
+        for c in inv:
+            out.append(Fraction(den * c, p))
+            p *= n0
         return Series(out, self.order, self.denom)
 
     # -- structural operations ----------------------------------------------

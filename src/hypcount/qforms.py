@@ -152,16 +152,22 @@ def macmahon_C_recursive(k: int, order: int) -> Series:
 
 
 def macmahon_A(k: int, order: int) -> Series:
-    """A_k with the empty-product convention A_0 = 1."""
+    """A_k with the empty-product convention A_0 = 1.  A_k has valuation
+    1 + 2 + ... + k, so past the order it is zero without recursing."""
     if k == 0:
         return Series.one(order)
+    if k * (k + 1) // 2 > order:
+        return Series.zero(order)
     return macmahon_A_recursive(k, order)
 
 
 def macmahon_C(k: int, order: int) -> Series:
-    """C_k with the empty-product convention C_0 = 1."""
+    """C_k with the empty-product convention C_0 = 1.  C_k has valuation
+    1 + 3 + ... + (2k-1) = k^2, so past the order it is zero."""
     if k == 0:
         return Series.one(order)
+    if k * k > order:
+        return Series.zero(order)
     return macmahon_C_recursive(k, order)
 
 

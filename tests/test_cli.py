@@ -41,6 +41,13 @@ def test_series_unknown_name_is_usage_error(capsys):
     assert "unknown form" in err
 
 
+@pytest.mark.parametrize("name", ["A", "C"])
+def test_series_deep_index_past_order_is_zero(capsys, name):
+    code, out, _ = run(capsys, "series", "--name", name, "--k", "1000", "--order", "4")
+    assert code == 0
+    assert out.strip() == "0"
+
+
 def test_series_json_and_csv(capsys, tmp_path):
     code, out, _ = run(capsys, "series", "--name", "E", "--order", "5", "--format", "json")
     assert code == 0
@@ -252,6 +259,30 @@ def test_cache_roundtrip_and_corruption(capsys, tmp_path):
     # clear on an already-empty directory still succeeds
     code, _, _ = run(capsys, "cache", "--action", "clear", "--dir", cache)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("{not json", "not JSON"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"params": [1], "order": 8, "coeffs": []}', "missing key 'name'"),
+        ('{"name": "A", "params": [1], "coeffs": []}', "missing key 'order'"),
+        ('{"name": "A", "params": [1], "order": "8", "coeffs": []}', "order must be"),
+        ('{"name": "nope", "params": [], "order": 8, "coeffs": []}', "unknown form"),
+    ],
+)
+def test_cache_check_reports_invalid_files(capsys, tmp_path, text, reason):
+    cache = str(tmp_path / "forms")
+    run(capsys, "cache", "--action", "write", "--dir", cache, "--order", "8")
+    with open(os.path.join(cache, "zz_bad.json"), "w") as fh:
+        fh.write(text)
+    code, out, err = run(capsys, "cache", "--action", "check", "--dir", cache)
+    assert code == 1
+    assert err == ""
+    invalid, summary = out.splitlines()
+    assert invalid.startswith(f"INVALID zz_bad.json: {reason}")
+    assert summary == "checked 18 cached forms, 1 mismatched"
 
 
 def test_cache_env_dir(capsys, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypcount.errors import (
     DomainError,
@@ -9,7 +10,8 @@ from hypcount.errors import (
     NonzeroConstantTerm,
     ZeroConstantTerm,
 )
-from hypcount.fps import Series, XPoly
+from hypcount.fps import KRONECKER_MIN, Series, XPoly, _int_mul, _kron_mul, _school_mul
+from hypcount.qforms import pochhammer
 
 
 def S(*coeffs, order=None, denom=1):
@@ -87,6 +89,130 @@ def test_invert_roundtrip_random():
     for _ in range(200):
         a = random_series(rng, 64, invertible=True)
         assert a * a.invert() == Series.one(64)
+
+
+# -- integer kernel: Kronecker multiply, integer-numerator inverse -------------
+
+derandomized = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def random_ints(rng, length, mag):
+    """Signed entries with zero runs; the leading entry may be negative."""
+    out = []
+    while len(out) < length:
+        if rng.random() < 0.2:
+            out += [0] * rng.randint(1, 8)
+        else:
+            out.append(rng.randint(-mag, mag))
+    return out[:length]
+
+
+def both_products(a, b, n):
+    """_int_mul and the Kronecker path forced at every size."""
+    return _int_mul(a, b, n), _kron_mul(list(a), list(b), n)
+
+
+def test_int_mul_matches_schoolbook_fixed_seed():
+    rng = random.Random(41)
+    for _ in range(300):
+        la, lb = rng.randint(1, 3 * KRONECKER_MIN), rng.randint(1, 3 * KRONECKER_MIN)
+        a = random_ints(rng, la, rng.choice((1, 9, 10 ** 40)))
+        b = random_ints(rng, lb, rng.choice((1, 9, 10 ** 40)))
+        # truncation below, equal to and above the operand lengths
+        for n in (min(la, lb) // 2, la - 1, lb - 1, la + lb - 2, la + lb + 5):
+            want = _school_mul(a, b, n)
+            assert both_products(a, b, n) == (want, want)
+
+
+def test_int_mul_edge_shapes():
+    big = 10 ** 40
+    cases = [
+        ([0] * 30, [1] * 30),                   # zero operand
+        ([-big] + [0] * 40 + [big], [big] * 45),  # negative lead, long zero run
+        ([0] * 25 + [-1] * 30, [0] * 20 + [3] * 30),  # valuations past the order
+        ([-1] * 60, [-1] * 2),                  # unequal lengths
+    ]
+    for a, b in cases:
+        for n in (0, 10, 40, 60, 120):
+            want = _school_mul(a, b, n)
+            assert both_products(a, b, n) == (want, want)
+
+
+coefficient = st.integers(-(10 ** 40), 10 ** 40) | st.integers(-3, 3)
+
+
+@derandomized
+@given(st.lists(coefficient, max_size=70), st.lists(coefficient, max_size=70),
+       st.integers(0, 150))
+def test_int_mul_matches_schoolbook_hypothesis(a, b, n):
+    want = _school_mul(a, b, n)
+    assert both_products(a, b, n) == (want, want)
+
+
+def rational_product(a: Series, b: Series):
+    """Coefficient-wise Fraction product of two aligned series."""
+    order = min(a.order, b.order)
+    out = [Fraction(0)] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += Fraction(a.coeffs[i]) * b.coeffs[j]
+    return out
+
+
+def test_series_mul_matches_rational_oracle():
+    rng = random.Random(43)
+    for _ in range(40):
+        order = rng.randint(0, 3 * KRONECKER_MIN)
+        a = random_series(rng, order)
+        b = random_series(rng, rng.randint(order, order + 5))
+        got = a * b
+        assert list(got.coeffs) == rational_product(a, b)
+        # integral results collapse to int
+        assert all(type(c) is int for c in got.coeffs if Fraction(c).denominator == 1)
+
+
+def test_series_mul_denom4_matches_rational_oracle():
+    rng = random.Random(47)
+    for _ in range(20):
+        a = random_series(rng, 4 * 12, denom=4)
+        b = random_series(rng, 12)
+        got = a * b
+        assert got.denom == 4 and got.order == 48
+        assert list(got.coeffs) == rational_product(a, b.rescale(4))
+
+
+def rational_inverse(coeffs, order):
+    """Reference recursion in Fractions: out_n = -sum a_k out_(n-k) / a_0."""
+    a = [Fraction(c) for c in coeffs]
+    out = [1 / a[0]]
+    for n in range(1, order + 1):
+        out.append(-sum(a[k] * out[n - k] for k in range(1, n + 1)) / a[0])
+    return out
+
+
+@pytest.mark.parametrize("a0", [1, -1, 2, 3, -5, Fraction(3, 2)])
+def test_invert_matches_rational_recursion(a0):
+    rng = random.Random(53)
+    for _ in range(10):
+        s = random_series(rng, 40)
+        s = Series([a0] + list(s.coeffs[1:]), 40, denom=rng.choice((1, 4)))
+        got = s.invert()
+        assert got.denom == s.denom
+        assert list(got.coeffs) == rational_inverse(s.coeffs, 40)
+        assert all(type(c) is int for c in got.coeffs if Fraction(c).denominator == 1)
+
+
+@derandomized
+@given(st.sampled_from([1, -1, 2, 3, -5, Fraction(3, 2)]),
+       st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7)), max_size=30))
+def test_invert_matches_rational_recursion_hypothesis(a0, tail):
+    s = Series([a0] + tail, len(tail))
+    assert list(s.invert().coeffs) == rational_inverse(s.coeffs, s.order)
+
+
+def test_invert_roundtrip_order_1024():
+    a = pochhammer(1, 1, 1024) ** 24
+    assert a * a.invert() == Series.one(1024)
 
 
 # -- compose_monomial --------------------------------------------------------

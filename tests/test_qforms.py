@@ -99,6 +99,15 @@ def test_A_lowest_term_is_triangular():
         assert s.valuation() == k * (k + 1) // 2
 
 
+def test_A_past_valuation_is_zero_without_recursing():
+    # A_k vanishes below q^(k(k+1)/2); check the short cut against the
+    # recursion where both run, on both sides of the cut
+    for k in range(1, 11):
+        for order in (4, k * (k + 1) // 2 - 1, k * (k + 1) // 2):
+            assert qforms.macmahon_A(k, order) == qforms.macmahon_A_recursive(k, order)
+    assert qforms.macmahon_A(1000, 4) == Series.zero(4)
+
+
 # -- C_k ----------------------------------------------------------------------
 
 
@@ -135,6 +144,13 @@ def test_C_lowest_term_is_square():
     for k in range(1, 6):
         s = qforms.macmahon_C_recursive(k, 40)
         assert s.valuation() == k * k
+
+
+def test_C_past_valuation_is_zero_without_recursing():
+    for k in range(1, 11):
+        for order in (4, k * k - 1, k * k):
+            assert qforms.macmahon_C(k, order) == qforms.macmahon_C_recursive(k, order)
+    assert qforms.macmahon_C(1000, 4) == Series.zero(4)
 
 
 # -- E, E2, delta, pochhammer, theta ------------------------------------------
