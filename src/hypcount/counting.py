@@ -130,10 +130,11 @@ def f_gk_via_potential(config, order: int) -> Series:
     h_block = trig.theta_block("h", order)
     g_block = trig.theta_block("g", order)
     yz = qforms.delta_inv_times_q(order).compose_monomial(2)
+    pi3 = kummer.pi3_members()
     acc = Series.zero(order)
     for eps in (kummer.EPS0_MASK, kummer.EPS1_MASK):
         eta = P ^ eps
-        if not kummer.in_Pi3(eta):
+        if eta not in pi3:
             continue
         term = yz.shift(kummer.mask_size(P) // 2 - 2)
         for v, kv in enumerate(config):

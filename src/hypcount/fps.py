@@ -410,8 +410,11 @@ class Series:
             other = Series([other], self.order, self.denom)
         if not isinstance(other, Series):
             return NotImplemented
-        a, b, order, _ = self._align(other)
-        return a.coeffs[: order + 1] == b.coeffs[: order + 1]
+        a, b, order, d = self._align(other)
+        if a.order != b.order:
+            unit = "" if d == 1 else f" (in steps of q^(1/{d}))"
+            raise ValueError(f"cannot compare series of orders {a.order} and {b.order}{unit}")
+        return a.coeffs == b.coeffs
 
     __hash__ = None
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import attrgetter, itemgetter
 
 from .errors import BoundTooSmall, DomainError, HypcountError
 from .fps import Series, XPoly
@@ -186,10 +187,13 @@ def pairing(w1, w2):
 
 def admissible(mask: int):
     """Which coset (if either) the odd-multiplicity support lies in:
-    'even' iff P + eps0 is in Pi_3, 'odd' iff P + eps1 is, else None."""
-    if in_Pi3(mask ^ EPS0_MASK):
+    'even' iff P + eps0 is in Pi_3, 'odd' iff P + eps1 is, else None.
+    Looks P + eps_i up in the closure-generated Pi_3, which the import-time
+    check has matched against the affine-indicator test."""
+    mask &= FULL_MASK
+    if mask ^ EPS0_MASK in _PI3:
         return "even"
-    if in_Pi3(mask ^ EPS1_MASK):
+    if mask ^ EPS1_MASK in _PI3:
         return "odd"
     return None
 
@@ -217,21 +221,21 @@ def odd_support(config) -> int:
     return m
 
 
-_TRANSLATION = tuple(tuple(v ^ t for v in POINTS) for t in POINTS)
+# entry v of the translate by t is the multiplicity at v + t
+_TRANSLATORS = tuple(itemgetter(*(v ^ t for v in POINTS)) for t in POINTS)
 
 
 def translate_config(config, t: int):
-    perm = _TRANSLATION[t]
-    return tuple(config[perm[v]] for v in POINTS)
+    return _TRANSLATORS[t](config)
 
 
 def orbit_of(config) -> set:
-    return {translate_config(config, t) for t in POINTS}
+    return {translate(config) for translate in _TRANSLATORS}
 
 
 def orbit_rep(config):
     """Canonical representative: lexicographically least translate."""
-    return min(orbit_of(config))
+    return min(translate(config) for translate in _TRANSLATORS)
 
 
 @dataclass(frozen=True)
@@ -277,17 +281,53 @@ def admissible_profiles(degree: int):
                 yield tuple(base[v] + 2 * comp[v] for v in POINTS)
 
 
+@lru_cache(maxsize=1)
+def _support_classes() -> tuple:
+    """One support from each translation class of the 64 admissible
+    supports, with the translators of its stabilizer other than 0."""
+    classes = {}
+    for which in ("even", "odd"):
+        for P in coset_members(which):
+            key = min(translate_mask(P, t) for t in POINTS)
+            if key not in classes:
+                stab = [_TRANSLATORS[t] for t in POINTS[1:] if translate_mask(P, t) == P]
+                classes[key] = (P, tuple(stab))
+    return tuple(classes.values())
+
+
 def translation_orbits(degree: int) -> list:
     """All admissible multiplicity profiles of the given total, grouped under
     the sixteen-point translation action; one Orbit per class, sorted by
-    representative."""
-    orbits: dict = {}
-    for config in admissible_profiles(degree):
-        rep = orbit_rep(config)
-        if rep not in orbits:
-            coset = admissible(odd_support(rep))
-            orbits[rep] = Orbit(rep, len(orbit_of(config)), coset)
-    return [orbits[rep] for rep in sorted(orbits)]
+    representative.
+
+    A translation maps an admissible support P onto another one, so every
+    class meets the profiles on one fixed P of each support class in exactly
+    one orbit of Stab(P) = {t : P + t = P}.  The scan keeps a profile on P
+    only if it is the least of its Stab(P)-images; its class has 16 / #{t in
+    Stab(P) fixing it} members.  A profile is 1 on P plus twice a
+    composition, and Stab(P) fixes the 1 on P, so the test runs on the
+    composition.
+    """
+    _check_degree(degree)
+    orbits = []
+    for P, stab in _support_classes():
+        size = mask_size(P)
+        if size > degree:
+            continue
+        base = [1 if P >> v & 1 else 0 for v in POINTS]
+        for comp in _compositions((degree - size) // 2, 16):
+            fixing = 1
+            for translate in stab:
+                image = translate(comp)
+                if image < comp:
+                    break
+                fixing += image == comp
+            else:
+                config = tuple(base[v] + 2 * comp[v] for v in POINTS)
+                rep = orbit_rep(config)
+                orbits.append(Orbit(rep, 16 // fixing, admissible(odd_support(rep))))
+    orbits.sort(key=attrgetter("rep"))
+    return orbits
 
 
 # ---------------------------------------------------------------------------

@@ -429,7 +429,8 @@ def check_orbit_partition(order, rng):
         total = sum(o.size for o in orbits)
         if total != admissible:
             return False, f"degree {degree}: orbit sizes sum {total} != {admissible}"
-    by_degree[8] = kummer.translation_orbits(8)
+    for degree in (8, 10):
+        by_degree[degree] = kummer.translation_orbits(degree)
     if sum(o.size for o in by_degree[8]) != 824:
         return False, "degree 8 partition total changed"
     # the type of a profile is its value multiset; it fixes the shape
@@ -442,7 +443,7 @@ def check_orbit_partition(order, rng):
             return False, f"degree {degree}: Burnside class counts per type differ from enumeration"
     return True, (
         "orbit sizes partition the admissible profiles; Burnside class counts "
-        "per type equal enumeration (degrees 4, 6, 8)"
+        "per type equal enumeration (degrees 4, 6, 8, 10)"
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -183,6 +184,20 @@ def test_orbits_json_schema(capsys):
     assert len(data) == 5
     assert set(data[0]) == {"rep", "orbit_size", "coset", "shape"}
     assert sum(row["orbit_size"] for row in data) == 80
+
+
+# stdout digests of the benchmark's pinned orbit listings
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("orbits --degree 10 --format csv", "a3d27d3e691c0a604c955a42392465f0fac1744299991acd90ee4f0963ffd049"),
+        ("orbits --degree 12 --format json", "66bca2f05fe16c882572c94a1d17389c0561c790616cbf10853c7b494596d566"),
+    ],
+)
+def test_orbit_listing_is_byte_stable(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_orbits_bad_degree(capsys):

@@ -30,6 +30,18 @@ def random_series(rng, order, denom=1, invertible=False):
 # -- add ---------------------------------------------------------------------
 
 
+def test_equality_needs_equal_orders():
+    assert S(1, 5, 7, order=2) == S(1, 5, 7, order=2)
+    assert S(1, 5, 7, order=2) != S(1, 5, 8, order=2)
+    assert S(3, order=4) == 3 and 3 == S(3, order=4)
+    assert S(3, 1, order=4) != 3
+    assert S(1, 0, 2, order=2, denom=1) == Series([1, 0, 0, 0, 2], 4, 2)
+    with pytest.raises(ValueError, match="orders 0 and 2"):
+        Series([1], 0) == S(1, 5, 7, order=2)
+    with pytest.raises(ValueError, match="orders 2 and 3"):
+        S(1, order=2) != S(1, order=3)
+
+
 def test_add_cancellation():
     assert S(1, 1, order=4) + S(1, -1, order=4) == S(2, order=4)
 

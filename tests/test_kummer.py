@@ -108,6 +108,24 @@ def test_coset_tables():
     assert max(esizes + osizes) == 12
 
 
+def test_admissible_matches_affine_indicator_on_every_mask():
+    for m in range(1 << 16):
+        if kummer.in_Pi3(m ^ kummer.EPS0_MASK):
+            want = "even"
+        elif kummer.in_Pi3(m ^ kummer.EPS1_MASK):
+            want = "odd"
+        else:
+            want = None
+        assert kummer.admissible(m) == want, hex(m)
+
+
+@pytest.mark.parametrize("which", ["even", "odd"])
+def test_cosets_are_closed_under_translation(which):
+    members = set(kummer.coset_members(which))
+    for t in range(16):
+        assert {kummer.translate_mask(m, t) for m in members} == members
+
+
 def test_size4_even_sets_are_the_rows():
     rows = {kummer.translate_mask(ROW0, t) for t in (0, 1, 2, 3)}
     small = {m for m in kummer.coset_members("even") if kummer.mask_size(m) == 4}
@@ -196,6 +214,19 @@ def test_orbit_rep_is_lex_least():
     orbits = kummer.translation_orbits(8)
     for o in rng.sample(orbits, 10):
         assert o.rep == min(kummer.orbit_of(o.rep))
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8, 10, 12])
+def test_translation_orbits_equal_brute_force(degree):
+    # oracle: every admissible profile, its 16 translates taken point by point
+    orbits = {}
+    for config in kummer.admissible_profiles(degree):
+        translates = {tuple(config[v ^ t] for v in range(16)) for t in range(16)}
+        rep = min(translates)
+        P = kummer.odd_support(rep)
+        coset = "even" if kummer.in_Pi3(P ^ kummer.EPS0_MASK) else "odd"
+        orbits[rep] = kummer.Orbit(rep, len(translates), coset)
+    assert kummer.translation_orbits(degree) == [orbits[rep] for rep in sorted(orbits)]
 
 
 def test_orbits_reject_bad_degree():

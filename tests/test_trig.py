@@ -75,7 +75,7 @@ def test_block_parity():
 def test_h_block_x1_is_cube_of_even_pochhammer():
     # the x-coefficient at k=0 must be (q^2;q^2)^3 with q=u^2 (Jacobi cube)
     h = trig.theta_block("h", 24)
-    assert h.coefficient(1) == qforms.pochhammer(1, 2, 12).compose_monomial(2) ** 3
+    assert h.coefficient(1) == qforms.pochhammer(1, 2, 24).compose_monomial(2) ** 3
 
 
 # -- Andrews-Rose expansions ----------------------------------------------------
