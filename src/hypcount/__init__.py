@@ -49,7 +49,6 @@ from .kummer import (
     in_Pi3,
     is_affine_plane,
     kummer_member,
-    lattice_sum_oracle,
     orbit_counts_by_type,
     pairing,
     translation_orbits,
@@ -107,7 +106,6 @@ __all__ = [
     "in_Pi3",
     "is_affine_plane",
     "kummer_member",
-    "lattice_sum_oracle",
     "orbit_counts_by_type",
     "pairing",
     "translation_orbits",

@@ -22,9 +22,7 @@ from functools import lru_cache
 from math import factorial
 from operator import attrgetter, itemgetter
 
-from .errors import BoundTooSmall, DomainError, HypcountError
-from .fps import Series, XPoly
-from . import qforms, trig
+from .errors import DomainError, HypcountError
 
 POINTS = tuple(range(16))
 FULL_MASK = 0xFFFF
@@ -414,54 +412,3 @@ def orbit_counts_by_type(degree: int) -> dict:
                         rep[v] = kv
                     counts[tuple(rep)] = fixed // 16
     return counts
-
-
-# ---------------------------------------------------------------------------
-# the lattice-sum oracle for the per-class potential factors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LatticeOracle:
-    """Per-point factor data of one orbifold potential class: points in
-    h_mask carry the h block, the rest carry g, and the whole product is
-    weighted by q/Delta at u^2 times u^(|h_mask|/2 - 2)."""
-
-    eta: int
-    coset: str
-    h_mask: int
-    h_poly: XPoly
-    g_poly: XPoly
-    order: int
-
-    def prefactor(self) -> Series:
-        size = mask_size(self.h_mask)
-        yz = qforms.delta_inv_times_q(self.order).compose_monomial(2)
-        return yz.shift(size // 2 - 2)
-
-    def monomial_coefficient(self, config) -> Series:
-        """Coefficient of prod x_v^k(v) in the class's potential term."""
-        acc = self.prefactor()
-        for v, kv in enumerate(config):
-            poly = self.h_poly if self.h_mask >> v & 1 else self.g_poly
-            factor = poly.coefficient(kv)
-            if factor.is_zero():
-                return Series.zero(self.order)
-            acc = acc * factor
-        return acc
-
-
-def lattice_sum_oracle(eta: int, coset: str, bound: int, order: int) -> LatticeOracle:
-    """Assemble the truncated lattice-sum factors for one Pi_3 class and
-    coset.  Raises BoundTooSmall unless 2*bound^2 exceeds the order."""
-    if coset not in ("even", "odd"):
-        raise DomainError("coset must be 'even' or 'odd'")
-    if not in_Pi3(eta):
-        raise DomainError("eta must be a Pi_3 member")
-    if bound < 1 or 2 * bound * bound <= order:
-        raise BoundTooSmall(f"need 2*bound^2 > order (bound={bound}, order={order})")
-    eps = EPS0_MASK if coset == "even" else EPS1_MASK
-    h_mask = eta ^ eps
-    h_poly = trig.theta_block_from_lattice_sum("h", bound, order)
-    g_poly = trig.theta_block_from_lattice_sum("g", bound, order)
-    return LatticeOracle(eta, coset, h_mask, h_poly, g_poly, order)

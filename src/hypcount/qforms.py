@@ -50,52 +50,36 @@ def series_E2(order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
-def _mul_divisor_factor(coeffs: list, m: int, order: int) -> list:
-    """Multiply a coefficient list by q^m/(1-q^m)^2 = sum_{j>=1} j q^(jm),
-    truncated at ``order``."""
-    out = [0] * (order + 1)
-    for i, c in enumerate(coeffs):
-        if c and i <= order:
-            for j in range(1, (order - i) // m + 1):
-                out[i + j * m] += c * j
-    return out
-
-
 def _nested_sum(k: int, order: int, odd_steps: bool) -> Series:
-    """Sum over strictly increasing index tuples of products of
-    q^m/(1-q^m)^2 factors (indices themselves, or the odd numbers 2m-1).
+    """Sum over strictly increasing tuples of indices m (every positive
+    integer, or only the odd ones) of products of the factors
+    q^m/(1-q^m)^2 = sum_{j>=1} j q^(jm), built in one pass over m.
 
-    Tuples are enumerated depth-first with index-sum pruning: a partial
-    product with valuation v and r indices left to choose (each above the
-    last index) can only contribute at exponents >= v + minimal completion,
-    so branches past the truncation order are omitted exactly, and partial
-    products are truncated to order minus that completion bound.
+    S_r holds the sum over r-tuples of indices below m.  At each m the
+    factor times S_(r-1) is added into S_r for r = k down to 1, so S_r gains
+    exactly the tuples whose last index is m and no index repeats.  The k-r
+    indices still to come exceed m, so S_r is kept only up to order minus
+    their least sum; nothing dropped can reach S_k.
     """
     if k == 0:
         return Series.one(order)
-    total = [0] * (order + 1)
     step = 2 if odd_steps else 1
-    start = 1
-
-    def min_completion(m: int, r: int) -> int:
-        # r further indices, strictly increasing from m by >= step
-        return r * m + step * r * (r + 1) // 2
-
-    def rec(partial: list, val: int, m_prev: int, r: int):
-        m = m_prev + step if m_prev else start
-        while val + m + min_completion(m, r - 1) <= order:
-            cap = order - min_completion(m, r - 1)
-            new = _mul_divisor_factor(partial, m, cap)
-            if r == 1:
-                for n, c in enumerate(new):
-                    if c:
-                        total[n] += c
-            else:
-                rec(new, val + m, m, r - 1)
-            m += step
-
-    rec([1], 0, 0, k)
-    return Series(total, order)
+    if k + step * k * (k - 1) // 2 > order:  # the valuation of S_k
+        return Series.zero(order)
+    sums = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(k)]
+    for m in range(1, order + 1, step):
+        for r in range(k, 0, -1):
+            cap = order - (k - r) * m - step * (k - r) * (k - r + 1) // 2
+            if cap < m:
+                continue
+            term = [0] * m + sums[r - 1][: cap + 1 - m]  # q^m S_(r-1)
+            for _ in range(2):  # divide by 1 - q^m twice
+                for e in range(m, cap + 1):
+                    term[e] += term[e - m]
+            dst = sums[r]
+            for e in range(m, cap + 1):
+                dst[e] += term[e]
+    return Series(sums[k], order)
 
 
 @lru_cache(maxsize=None)

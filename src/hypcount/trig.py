@@ -40,12 +40,6 @@ class ChebPoly:
 
     __hash__ = None
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self):
         return f"ChebPoly(T_{self.n})"
 
@@ -83,25 +77,11 @@ def cheb_half_doubled(n: int) -> tuple:
 
 def cheb_even_identity_exact(n: int) -> bool:
     """T_n(1 - 2x^2) == (-1)^n T_(2n)(x) as an exact polynomial identity."""
-    inner = (1, 0, -2)  # 1 - 2x^2
-    acc = [0] * (2 * n + 1)
-    acc[0] = 1
-    result = [0] * (2 * n + 1)
-    tn = chebyshev(n).coeffs
-    for i, c in enumerate(tn):
-        if i > 0:
-            nxt = [0] * (2 * n + 1)
-            for a, ca in enumerate(acc):
-                if ca:
-                    for b, cb in enumerate(inner):
-                        if cb and a + b <= 2 * n:
-                            nxt[a + b] += ca * cb
-            acc = nxt
-        if c:
-            for a, ca in enumerate(acc):
-                result[a] += c * ca
-    target = [(-1) ** n * c for c in chebyshev(2 * n).coeffs]
-    return result == list(target) + [0] * (2 * n + 1 - len(target))
+    inner = Series([1, 0, -2], 2 * n)  # 1 - 2x^2
+    power, composed = Series.one(2 * n), Series.zero(2 * n)
+    for c in chebyshev(n).coeffs:
+        composed, power = composed + power * c, power * inner
+    return composed == Series(chebyshev(2 * n).coeffs, 2 * n) * (-1) ** n
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +173,6 @@ def andrews_rose_G(order: int, xdeg: int) -> XPoly:
 # ---------------------------------------------------------------------------
 # exact trig series and the x <-> z change of variable
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def sin_series(order: int) -> Series:
-    """sin z as an exact rational series."""
-    terms = {}
-    for j in range(0, (order - 1) // 2 + 1):
-        terms[2 * j + 1] = Fraction((-1) ** j, factorial(2 * j + 1))
-    return Series.from_terms(terms, order)
 
 
 @lru_cache(maxsize=None)

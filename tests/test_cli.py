@@ -276,6 +276,18 @@ def test_cache_roundtrip_and_corruption(capsys, tmp_path):
     assert code == 0
 
 
+def test_cache_write_is_byte_stable(capsys, tmp_path):
+    # the benchmark's pinned digest of the order-1024 form files: sorted
+    # names, each hashed as name + NUL + bytes + NUL
+    cache = tmp_path / "forms"
+    code, _, _ = run(capsys, "cache", "--action", "write", "--dir", str(cache), "--order", "1024")
+    assert code == 0
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(cache)):
+        h.update(name.encode() + b"\0" + (cache / name).read_bytes() + b"\0")
+    assert h.hexdigest() == "1ac781af82cf60f955172221384062e43f1c8385bf184a10703a7fe3d8105c4b"
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hypcount.errors import BoundTooSmall, DomainError, HypcountError
-from hypcount.fps import Series
-from hypcount import kummer, qforms, trig
+from hypcount.errors import DomainError, HypcountError
+from hypcount import kummer
 
 
 ROW0 = kummer.EPS0_MASK
@@ -262,33 +261,3 @@ def test_burnside_rejects_indivisible_sum(monkeypatch):
     )
     with pytest.raises(HypcountError, match="not divisible by 16"):
         kummer.orbit_counts_by_type(4)
-
-
-# -- lattice-sum oracle ----------------------------------------------------------------
-
-
-def test_oracle_blocks_match_trig():
-    oracle = kummer.lattice_sum_oracle(0, "even", 4, 12)
-    assert oracle.h_mask == kummer.EPS0_MASK
-    assert oracle.h_poly == trig.theta_block("h", 12)
-    assert oracle.g_poly == trig.theta_block("g", 12)
-    assert oracle.h_poly.coefficient(1)[0] == 1  # per-point h sum at u^0 x^1
-
-
-def test_oracle_genus1_extraction():
-    oracle = kummer.lattice_sum_oracle(0, "even", 4, 12)
-    series = oracle.monomial_coefficient(profile_from(ROW0))
-    assert series == Series.one(12)
-
-
-def test_oracle_prefactor_structure():
-    oracle = kummer.lattice_sum_oracle(0, "even", 4, 8)
-    # |eta + eps_0| = 4 for eta = 0, so the u-power prefactor is u^0 q/Delta(u^2)
-    assert oracle.prefactor() == qforms.delta_inv_times_q(8).compose_monomial(2)
-
-
-def test_oracle_bound_guard():
-    with pytest.raises(BoundTooSmall):
-        kummer.lattice_sum_oracle(0, "even", 2, 12)
-    with pytest.raises(DomainError):
-        kummer.lattice_sum_oracle(ROW0, "even", 4, 12)  # eta not in Pi_3

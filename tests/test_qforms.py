@@ -93,6 +93,11 @@ def test_A_cross_construction_order64():
         assert qforms.macmahon_A_direct(k, 64) == qforms.macmahon_A_recursive(k, 64)
 
 
+def test_A_cross_construction_order256():
+    for k in range(1, 6):
+        assert qforms.macmahon_A_direct(k, 256) == qforms.macmahon_A_recursive(k, 256)
+
+
 def test_A_lowest_term_is_triangular():
     for k in range(1, 6):
         s = qforms.macmahon_A_recursive(k, 40)
@@ -104,8 +109,9 @@ def test_A_past_valuation_is_zero_without_recursing():
     # recursion where both run, on both sides of the cut
     for k in range(1, 11):
         for order in (4, k * (k + 1) // 2 - 1, k * (k + 1) // 2):
-            assert qforms.macmahon_A(k, order) == qforms.macmahon_A_recursive(k, order)
-    assert qforms.macmahon_A(1000, 4) == Series.zero(4)
+            want = qforms.macmahon_A_recursive(k, order)
+            assert qforms.macmahon_A(k, order) == qforms.macmahon_A_direct(k, order) == want
+    assert qforms.macmahon_A(1000, 4) == qforms.macmahon_A_direct(1000, 4) == Series.zero(4)
 
 
 # -- C_k ----------------------------------------------------------------------
@@ -140,6 +146,11 @@ def test_C_cross_construction_order64():
         assert qforms.macmahon_C_direct(k, 64) == qforms.macmahon_C_recursive(k, 64)
 
 
+def test_C_cross_construction_order256():
+    for k in range(1, 6):
+        assert qforms.macmahon_C_direct(k, 256) == qforms.macmahon_C_recursive(k, 256)
+
+
 def test_C_lowest_term_is_square():
     for k in range(1, 6):
         s = qforms.macmahon_C_recursive(k, 40)
@@ -149,8 +160,9 @@ def test_C_lowest_term_is_square():
 def test_C_past_valuation_is_zero_without_recursing():
     for k in range(1, 11):
         for order in (4, k * k - 1, k * k):
-            assert qforms.macmahon_C(k, order) == qforms.macmahon_C_recursive(k, order)
-    assert qforms.macmahon_C(1000, 4) == Series.zero(4)
+            want = qforms.macmahon_C_recursive(k, order)
+            assert qforms.macmahon_C(k, order) == qforms.macmahon_C_direct(k, order) == want
+    assert qforms.macmahon_C(1000, 4) == qforms.macmahon_C_direct(1000, 4) == Series.zero(4)
 
 
 # -- E, E2, delta, pochhammer, theta ------------------------------------------

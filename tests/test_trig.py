@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -17,20 +16,32 @@ def test_T2_and_T3():
     assert trig.chebyshev(3).coeffs == (0, -3, 0, 4)
 
 
+def cheb_at(n, x):
+    return sum(c * x**i for i, c in enumerate(trig.chebyshev(n).coeffs))
+
+
+def sin_multiple(a, b, m):
+    # e^(it) = (a + ib)^2 / (a^2 + b^2), so sin(m t) is exact when sin t = 2ab/(a^2 + b^2)
+    re, im = 1, 0
+    for _ in range(2 * m):
+        re, im = re * a - im * b, re * b + im * a
+    return Fraction(im, (a * a + b * b) ** m)
+
+
 def test_T5_sine_identity_numeric():
-    theta = 0.3
-    got = trig.chebyshev(5).eval_float(math.sin(theta))
-    assert abs(got - math.sin(5 * theta)) < 1e-12  # (-1)^2 sin(5t)
+    # a, b = 3, 1 gives sin t = 3/5; T_5(sin t) = (-1)^2 sin(5t), exactly
+    assert sin_multiple(3, 1, 1) == Fraction(3, 5)
+    assert cheb_at(5, Fraction(3, 5)) == sin_multiple(3, 1, 5) == Fraction(-237, 3125)
 
 
 def test_odd_sine_identity_random():
     rng = random.Random(5)
     for _ in range(20):
-        theta = rng.uniform(-math.pi, math.pi)
+        a, b = rng.randint(-40, 40), rng.randint(1, 40)
+        sin_t = Fraction(2 * a * b, a * a + b * b)
         for n in range(0, 7):
-            got = trig.chebyshev(2 * n + 1).eval_float(math.sin(theta))
-            want = (-1) ** n * math.sin((2 * n + 1) * theta)
-            assert abs(got - want) < 1e-10
+            want = (-1) ** n * sin_multiple(a, b, 2 * n + 1)
+            assert cheb_at(2 * n + 1, sin_t) == want
 
 
 def test_even_composition_identity_exact():
