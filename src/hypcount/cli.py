@@ -3,7 +3,9 @@
 Subcommands: series (named q-series), fgk (one multiplicity profile),
 genus (aggregated count report), orbits (translation-orbit table), verify
 (identity suites), cache (named-form JSON store).  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error or a file that cannot be read or
+written; main() is the one place that turns these errors into an
+``error: <msg>`` line.
 
 Configuration precedence is flags > environment > defaults; the recognized
 environment variables are HYPCOUNT_ORDER and HYPCOUNT_CACHE_DIR.
@@ -68,11 +70,7 @@ def _series_csv(series, var="q") -> str:
 
 
 def cmd_series(args) -> int:
-    try:
-        form = qforms.named_form(args.name, k=args.k, order=args.order)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    form = qforms.named_form(args.name, k=args.k, order=args.order)
     if args.format == "json":
         _emit(_canonical_json(form.to_json()), args.out)
     elif args.format == "csv":
@@ -93,12 +91,8 @@ def _parse_profile(raw: str):
 
 
 def cmd_fgk(args) -> int:
-    try:
-        config = _parse_profile(args.config)
-        result = counting.f_gk(config, args.order)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _parse_profile(args.config)
+    result = counting.f_gk(config, args.order)
     if args.format == "json":
         _emit(_canonical_json(result.to_json()), args.out)
         return 0
@@ -147,22 +141,16 @@ def _report_table_text(report) -> str:
 
 def cmd_genus(args) -> int:
     if args.format == "json" and not 1 <= args.g <= GENUS_MAX_LISTED:
-        print(
-            f"error: genus must be between 1 and {GENUS_MAX_LISTED} with --format json",
-            file=sys.stderr,
-        )
-        return 2
+        raise DomainError(f"genus must be between 1 and {GENUS_MAX_LISTED} with --format json")
     if not 1 <= args.g <= GENUS_MAX:
-        print(f"error: genus must be between 1 and {GENUS_MAX}", file=sys.stderr)
-        return 2
+        raise DomainError(f"genus must be between 1 and {GENUS_MAX}")
     report = counting.genus_total(args.g, args.order)
     if args.format == "json":
         _emit(_canonical_json(report.to_json()), args.out)
-    elif args.format == "csv" or (args.table and args.format == "text"):
-        if args.format == "csv":
-            _emit(report.to_csv(), args.out)
-        else:
-            _emit(_report_table_text(report), args.out)
+    elif args.format == "csv":
+        _emit(report.to_csv(), args.out)
+    elif args.table:
+        _emit(_report_table_text(report), args.out)
     else:
         lines = [
             f"genus {args.g}: {sum(report.shape_multiplicities().values())} orbit classes, "
@@ -176,13 +164,9 @@ def cmd_genus(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    try:
-        orbits = kummer.translation_orbits(args.degree)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     payload = [
-        {**o.to_json(), "shape": counting.shape_label(o.rep)} for o in orbits
+        {**o.to_json(), "shape": counting.shape_label(o.rep)}
+        for o in kummer.translation_orbits(args.degree)
     ]
     if args.format == "json":
         _emit(_canonical_json(payload), args.out)
@@ -248,64 +232,56 @@ def _load_cached(stored: str):
 def cmd_cache(args) -> int:
     cache_dir = args.dir or os.environ.get("HYPCOUNT_CACHE_DIR")
     if not cache_dir:
-        print("error: cache needs --dir or HYPCOUNT_CACHE_DIR", file=sys.stderr)
-        return 2
-    try:
-        if args.action == "write":
-            os.makedirs(cache_dir, exist_ok=True)
-            for name, k in CACHE_ROSTER:
-                form = qforms.named_form(name, k=k, order=args.order)
-                path = os.path.join(cache_dir, form.key() + ".json")
-                with open(path, "w") as fh:
-                    fh.write(_canonical_json(form.to_json()))
-            print(f"wrote {len(CACHE_ROSTER)} forms to {cache_dir}")
-            return 0
-        if args.action == "check":
-            if not os.path.isdir(cache_dir):
-                print(f"error: no such directory {cache_dir}", file=sys.stderr)
-                return 2
-            failures = 0
-            checked = 0
-            for entry in sorted(os.listdir(cache_dir)):
-                if not entry.endswith(".json"):
-                    continue
-                path = os.path.join(cache_dir, entry)
-                with open(path) as fh:
-                    stored = fh.read()
-                checked += 1
-                try:
-                    data, form = _load_cached(stored)
-                except ValueError as exc:
-                    failures += 1
-                    print(f"INVALID {entry}: {exc}")
-                    continue
-                fresh = _canonical_json(form.to_json())
-                if fresh != stored:
-                    failures += 1
-                    stored_coeffs = data["coeffs"]
-                    fresh_coeffs = form.to_json()["coeffs"]
-                    delta = next(
-                        (
-                            f"coefficient of q^{i}: stored {s}, recomputed {f}"
-                            for i, (s, f) in enumerate(zip(stored_coeffs, fresh_coeffs))
-                            if s != f
-                        ),
-                        "byte-level difference outside the coefficients",
-                    )
-                    print(f"MISMATCH {entry}: {delta}")
-            print(f"checked {checked} cached forms, {failures} mismatched")
-            return 1 if failures else 0
-        if args.action == "clear":
-            if os.path.isdir(cache_dir):
-                for entry in os.listdir(cache_dir):
-                    if entry.endswith(".json"):
-                        os.remove(os.path.join(cache_dir, entry))
-            print(f"cleared {cache_dir}")
-            return 0
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
+        raise DomainError("cache needs --dir or HYPCOUNT_CACHE_DIR")
+    if args.action == "write":
+        os.makedirs(cache_dir, exist_ok=True)
+        for name, k in CACHE_ROSTER:
+            form = qforms.named_form(name, k=k, order=args.order)
+            path = os.path.join(cache_dir, form.key() + ".json")
+            with open(path, "w") as fh:
+                fh.write(_canonical_json(form.to_json()))
+        print(f"wrote {len(CACHE_ROSTER)} forms to {cache_dir}")
+        return 0
+    if args.action == "clear":
+        if os.path.isdir(cache_dir):
+            for entry in os.listdir(cache_dir):
+                if entry.endswith(".json"):
+                    os.remove(os.path.join(cache_dir, entry))
+        print(f"cleared {cache_dir}")
+        return 0
+    if not os.path.isdir(cache_dir):
+        raise DomainError(f"no such directory {cache_dir}")
+    failures = 0
+    checked = 0
+    for entry in sorted(os.listdir(cache_dir)):
+        if not entry.endswith(".json"):
+            continue
+        path = os.path.join(cache_dir, entry)
+        with open(path) as fh:
+            stored = fh.read()
+        checked += 1
+        try:
+            data, form = _load_cached(stored)
+        except ValueError as exc:
+            failures += 1
+            print(f"INVALID {entry}: {exc}")
+            continue
+        fresh = _canonical_json(form.to_json())
+        if fresh != stored:
+            failures += 1
+            stored_coeffs = data["coeffs"]
+            fresh_coeffs = form.to_json()["coeffs"]
+            delta = next(
+                (
+                    f"coefficient of q^{i}: stored {s}, recomputed {f}"
+                    for i, (s, f) in enumerate(zip(stored_coeffs, fresh_coeffs))
+                    if s != f
+                ),
+                "byte-level difference outside the coefficients",
+            )
+            print(f"MISMATCH {entry}: {delta}")
+    print(f"checked {checked} cached forms, {failures} mismatched")
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,10 +348,10 @@ def main(argv=None) -> int:
         if getattr(args, "order", None) is None:
             args.order = _env_order()
         if args.order < 0:
-            print("error: order must be >= 0", file=sys.stderr)
-            return 2
+            raise DomainError("order must be >= 0")
         return args.fn(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
+        # bad input and unwritable paths alike: one line, usage exit code
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HypcountError as exc:

@@ -37,27 +37,35 @@ def _C_u2(j: int, order: int) -> Series:
     return qforms.macmahon_C(j, order).compose_monomial(2)
 
 
-def shape_label(config) -> str:
-    """Multiset of named factors, e.g. ``E^2``, ``A1(u^4)*C1(u^2)``, ``1``."""
+def _factors(config):
+    """The product formula's pieces for one profile: (odd support P, power
+    of E, the A and C factors in point order as (label, constructor, index)).
+    A point of multiplicity 1 contributes A_0 = 1 and is left out."""
     P = kummer.odd_support(config)
-    epow = kummer.mask_size(P) // 2 - 2
-    factors: dict = {}
+    factors = []
     for v, kv in enumerate(config):
         if P >> v & 1:
-            j = (kv - 1) // 2
-            if j:
-                name = f"A{j}(u^4)"
-                factors[name] = factors.get(name, 0) + 1
+            if kv > 1:
+                j = (kv - 1) // 2
+                factors.append((f"A{j}(u^4)", _A_u4, j))
         elif kv:
-            name = f"C{kv // 2}(u^2)"
-            factors[name] = factors.get(name, 0) + 1
+            factors.append((f"C{kv // 2}(u^2)", _C_u2, kv // 2))
+    return P, kummer.mask_size(P) // 2 - 2, factors
+
+
+def shape_label(config) -> str:
+    """Multiset of named factors, e.g. ``E^2``, ``A1(u^4)*C1(u^2)``, ``1``."""
+    _, epow, factors = _factors(config)
+    counts: dict = {}
+    for name, _, _ in factors:
+        counts[name] = counts.get(name, 0) + 1
     parts = []
     if epow == 1:
         parts.append("E")
     elif epow > 1:
         parts.append(f"E^{epow}")
-    for name in sorted(factors):
-        mult = factors[name]
+    for name in sorted(counts):
+        mult = counts[name]
         parts.append(name if mult == 1 else f"{name}^{mult}")
     return "*".join(parts) if parts else "1"
 
@@ -97,21 +105,14 @@ def f_gk(config, order: int) -> CountSeries:
     """Counting series of one multiplicity profile (closed product route)."""
     config = tuple(config)
     _check_profile(config)
-    P = kummer.odd_support(config)
+    P, epow, factors = _factors(config)
     coset = kummer.admissible(P)
     if coset is None:
         return CountSeries(config, None, Series.zero(order))
-    psize = kummer.mask_size(P)
-    if psize % 2:
-        raise DomainError("odd support of even-total profile cannot have odd size")
-    acc = qforms.series_E(order) ** (psize // 2 - 2)
-    for v, kv in enumerate(config):
-        if P >> v & 1:
-            j = (kv - 1) // 2
-            if j:
-                acc = acc * _A_u4(j, order)
-        elif kv:
-            acc = acc * _C_u2(kv // 2, order)
+    # an even total makes |P| even, and admissible supports have |P| >= 4
+    acc = qforms.series_E(order) ** epow
+    for _, make, j in factors:
+        acc = acc * make(j, order)
     return CountSeries(config, coset, acc)
 
 

@@ -478,8 +478,7 @@ class Series:
 class XPoly:
     """Polynomial in a formal variable x whose coefficients are Series.
 
-    All coefficient Series share one (order, denom); multiplication truncates
-    the x-degree at a caller-supplied bound.
+    All coefficient Series share one (order, denom).
     """
 
     __slots__ = ("xcoeffs", "xdeg")
@@ -507,10 +506,6 @@ class XPoly:
     def denom(self) -> int:
         return self.xcoeffs[0].denom
 
-    @staticmethod
-    def zero(xdeg: int, order: int, denom: int = 1) -> "XPoly":
-        return XPoly([Series.zero(order, denom) for _ in range(xdeg + 1)])
-
     def coefficient(self, i: int) -> Series:
         """Series coefficient of x**i (zero Series above the stored degree)."""
         if i < 0:
@@ -519,46 +514,13 @@ class XPoly:
             return Series.zero(self.order, self.denom)
         return self.xcoeffs[i]
 
-    def pad(self, xdeg: int) -> "XPoly":
-        if xdeg <= self.xdeg:
-            return self
-        extra = [Series.zero(self.order, self.denom)] * (xdeg - self.xdeg)
-        return XPoly(list(self.xcoeffs) + extra)
-
-    def __add__(self, other: "XPoly") -> "XPoly":
-        deg = max(self.xdeg, other.xdeg)
-        a, b = self.pad(deg), other.pad(deg)
-        return XPoly([x + y for x, y in zip(a.xcoeffs, b.xcoeffs)])
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        deg = max(self.xdeg, other.xdeg)
-        a, b = self.pad(deg), other.pad(deg)
-        return XPoly([x - y for x, y in zip(a.xcoeffs, b.xcoeffs)])
-
-    def scale(self, s) -> "XPoly":
-        """Multiply every x-coefficient by a Series or scalar."""
-        return XPoly([c * s for c in self.xcoeffs])
-
-    def mul(self, other: "XPoly", xdeg: int) -> "XPoly":
-        """Product truncated at x-degree ``xdeg``."""
-        out = [Series.zero(min(self.order, other.order), self.denom)
-               for _ in range(xdeg + 1)]
-        for i, a in enumerate(self.xcoeffs):
-            if i > xdeg or a.is_zero():
-                continue
-            for j, b in enumerate(other.xcoeffs):
-                if i + j > xdeg:
-                    break
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return XPoly(out)
-
     def __eq__(self, other):
         if not isinstance(other, XPoly):
             return NotImplemented
-        deg = max(self.xdeg, other.xdeg)
-        a, b = self.pad(deg), other.pad(deg)
-        return all(x == y for x, y in zip(a.xcoeffs, b.xcoeffs))
+        return all(
+            self.coefficient(i) == other.coefficient(i)
+            for i in range(max(self.xdeg, other.xdeg) + 1)
+        )
 
     __hash__ = None
 

@@ -110,10 +110,8 @@ def affine_threeplanes() -> list:
     return planes
 
 
-def pi3_by_closure() -> frozenset:
-    """Generate Pi_3 from the affine 3-planes by symmetric-difference closure;
-    kept as a cross-check against the affine-indicator criterion."""
-    gens = affine_threeplanes()
+def xor_closure(gens) -> set:
+    """The subgroup generated by the masks gens under symmetric difference."""
     members = {0}
     frontier = [0]
     while frontier:
@@ -125,10 +123,11 @@ def pi3_by_closure() -> frozenset:
                     members.add(c)
                     nxt.append(c)
         frontier = nxt
-    return frozenset(members)
+    return members
 
 
-_PI3 = pi3_by_closure()
+# closure-generated Pi_3, cross-checked against the affine-indicator test
+_PI3 = frozenset(xor_closure(affine_threeplanes()))
 if len(_PI3) != 32 or not all(in_Pi3(m) for m in _PI3):
     raise AssertionError("Pi_3 closure generation disagrees with the affine test")
 if in_Pi3(EPS0_MASK ^ EPS1_MASK):
@@ -207,10 +206,6 @@ def coset_members(which: str) -> tuple:
 # branch points (Weierstrass-point images) at the torsion point v
 
 
-def config_total(config) -> int:
-    return sum(config)
-
-
 def odd_support(config) -> int:
     m = 0
     for v, kv in enumerate(config):
@@ -221,10 +216,6 @@ def odd_support(config) -> int:
 
 # entry v of the translate by t is the multiplicity at v + t
 _TRANSLATORS = tuple(itemgetter(*(v ^ t for v in POINTS)) for t in POINTS)
-
-
-def translate_config(config, t: int):
-    return _TRANSLATORS[t](config)
 
 
 def orbit_of(config) -> set:

@@ -340,24 +340,8 @@ def check_pi3_structure(order, rng):
 
 
 def check_pi_chain(order, rng):
-    # Pi_4 is {empty, everything}; every Pi_3 member must be a sum of
-    # 2-planes (size = 0 mod 2 with vanishing XOR-moment is implied; here we
-    # verify by explicit closure), and every generated element of each stage
-    # passes the membership test of the stage below.
-    def closure(gens):
-        members = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    c = m ^ g
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return members
-
+    # Pi_k is the closure of the affine k-planes: Pi_4 = {empty, everything}
+    # and Pi_4 < Pi_3 < Pi_2
     planes = {
         k: [
             m
@@ -366,14 +350,14 @@ def check_pi_chain(order, rng):
         ]
         for k in (2, 4)
     }
-    pi4 = closure(planes[4])
+    pi4 = kummer.xor_closure(planes[4])
     if pi4 != {0, kummer.FULL_MASK}:
         return False, f"Pi_4 has {len(pi4)} elements"
     pi3 = kummer.pi3_members()
     if not pi4 <= pi3:
         return False, "Pi_4 not inside Pi_3"
-    pi2 = closure(planes[2])
-    if not set(pi3) <= pi2:
+    pi2 = kummer.xor_closure(planes[2])
+    if not pi3 <= pi2:
         return False, "Pi_3 not inside Pi_2"
     # every pair of points is an affine 1-plane, so Pi_1 is exactly the
     # even-size subsets; Pi_2 members must all be even

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hypcount import cli
+from hypcount import cli, verify
 from hypcount.fps import Series
 
 
@@ -70,6 +70,45 @@ def test_env_order_precedence(capsys, monkeypatch):
     # explicit flag beats the environment
     code, out, _ = run(capsys, "series", "--name", "A", "--k", "1", "--order", "2")
     assert code == 0 and out.strip() == "q + 3q^2"
+
+
+# stdout digests of the README's command-line examples: refactors must keep
+# them byte-identical.  `verify` is left out because its detail text is not
+# a contract, `cache` because test_cache_write_is_byte_stable pins it.
+README_PINS = [
+    ("series --name A --k 1 --order 6", "fdd9aec0e3f2c52a8871876df48d752cd6642f1c866356e735857a2fb4d61c21"),
+    ("series --name delta_inv --order 3", "6b05f32702813eb7c1f71ecc102bf4ec195ea936ee32fef54be6bd64bb9ce9b5"),
+    ("fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --order 16", "d9c3dcf2d532dafe07c20ceab195d3a2e783152143e3b692017d6cc3abeb51a4"),
+    ("genus --g 3 --order 12 --table", "262675d4195eacc9417b758dd3479d96e928e13d16cc9ea41ba9f5cdd575cc31"),
+    ("genus --g 2 --order 8 --format json", "cbc921bd497134f6fb67ee2d63ee1449e4afd02622b53046afd45e37b402dd49"),
+    ("orbits --degree 8 --format json", "62730631524480df83aaf6149b018d8cd2432dbf11d6f9a28c7d274d5a3b3e24"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", README_PINS, ids=[p[0] for p in README_PINS])
+def test_readme_example_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "series --name E --order 4",
+        "fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --order 4",
+        "genus --g 2 --order 4",
+        "orbits --degree 4",
+    ],
+)
+def test_out_into_missing_directory_is_one_line_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *argv.split(), "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not target.parent.exists()
 
 
 def test_json_output_is_byte_stable(capsys):
@@ -208,26 +247,22 @@ def test_orbits_bad_degree(capsys):
 # -- verify -----------------------------------------------------------------
 
 
-def test_verify_fps_suite_passes(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "fps", "--order", "16")
-    assert code == 0
-    assert "FAIL" not in out
+@pytest.fixture(scope="module")
+def verify_all():
+    results, _ = verify.run_suite(["all"], 16)
+    return {f"{r.suite}:{r.name}": r for r in results}
 
 
-def test_verify_kummer_suite_passes(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "kummer", "--order", "16")
-    assert code == 0
-
-
-def test_verify_counting_reports_reference_total_mismatch(capsys):
-    # every check passes except the reference-table total row, which the
-    # full enumeration exceeds by the three two-triple classes
-    code, out, _ = run(capsys, "verify", "--suite", "counting", "--order", "12")
-    assert code == 1
-    failing = [line for line in out.splitlines() if line.startswith("[FAIL]")]
-    assert len(failing) == 1
-    assert "table-total-row" in failing[0]
-    assert "computed 474, reference 471" in failing[0]
+@pytest.mark.parametrize("tag", [f"{suite}:{name}" for suite, name, _, _ in verify.CHECKS])
+def test_verify_check(verify_all, tag):
+    result = verify_all[tag]
+    if tag == "counting:table-total-row":
+        # the full enumeration exceeds the reference total by the three
+        # A1(u^4)^2 classes (see the README)
+        assert not result.ok
+        assert "computed 474, reference 471" in result.detail
+    else:
+        assert result.ok, result.detail
 
 
 def test_verify_all_has_single_known_failure(capsys):
@@ -240,8 +275,10 @@ def test_verify_all_has_single_known_failure(capsys):
 
 
 def test_verify_output_is_deterministic(capsys):
-    _, first, _ = run(capsys, "verify", "--suite", "fps", "--order", "16")
-    _, second, _ = run(capsys, "verify", "--suite", "fps", "--order", "16")
+    code, first, _ = run(capsys, "verify", "--suite", "fps", "--order", "16")
+    assert code == 0
+    code, second, _ = run(capsys, "verify", "--suite", "fps", "--order", "16")
+    assert code == 0
     assert first == second
 
 

@@ -395,14 +395,6 @@ def test_format_rendering():
 # -- XPoly -------------------------------------------------------------------
 
 
-def test_xpoly_mul_truncates_degree():
-    one = Series.one(4)
-    p = XPoly([one, one])  # 1 + x
-    sq = p.mul(p, xdeg=1)
-    assert sq.xdeg == 1
-    assert sq.coefficient(0) == one and sq.coefficient(1) == one * 2
-
-
 def test_xpoly_coefficient_beyond_degree_is_zero():
     p = XPoly([Series.one(3)])
     assert p.coefficient(5).is_zero()

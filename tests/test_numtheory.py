@@ -71,10 +71,6 @@ def test_sigma1_halving_examples():
     assert sigma1_lemma_check(7)  # vacuous for odd n
 
 
-def test_sigma1_halving_all_small():
-    assert all(sigma1_lemma_check(n) for n in range(1, 10_001))
-
-
 def test_odd_split_examples():
     assert odd_split_count(3, 3) == 1  # all singletons
     assert odd_split_count(3, 1) == 1  # one block of 3

@@ -44,18 +44,6 @@ def test_odd_sine_identity_random():
             assert cheb_at(2 * n + 1, sin_t) == want
 
 
-def test_even_composition_identity_exact():
-    for n in range(0, 13):
-        assert trig.cheb_even_identity_exact(n)
-
-
-def test_recurrence_structure():
-    for n in range(1, 13):
-        p = trig.chebyshev(n)
-        assert sum(p.coeffs) == 1  # T_n(1) = 1
-        assert p.coeffs[-1] == 2 ** (n - 1)
-
-
 def test_cheb_half_doubled_integrality():
     assert trig.cheb_half_doubled(1) == (0, 1)  # 2 T_1(x/2) = x
     assert trig.cheb_half_doubled(2) == (-2, 0, 1)  # x^2 - 2
@@ -76,13 +64,6 @@ def test_g_block_constant_and_x2():
     assert g.coefficient(2)[2] == 1  # from 2T_2(x/2) = x^2 - 2 at u^2
 
 
-def test_block_parity():
-    h = trig.theta_block("h", 32)
-    g = trig.theta_block("g", 32)
-    assert all(h.coefficient(i).is_zero() for i in range(0, h.xdeg + 1, 2))
-    assert all(g.coefficient(i).is_zero() for i in range(1, g.xdeg + 1, 2))
-
-
 def test_h_block_x1_is_cube_of_even_pochhammer():
     # the x-coefficient at k=0 must be (q^2;q^2)^3 with q=u^2 (Jacobi cube)
     h = trig.theta_block("h", 24)
@@ -90,14 +71,6 @@ def test_h_block_x1_is_cube_of_even_pochhammer():
 
 
 # -- Andrews-Rose expansions ----------------------------------------------------
-
-
-def test_andrews_rose_H_equals_block():
-    assert trig.andrews_rose_H(32, 13) == trig.theta_block_q("h", 32, 13)
-
-
-def test_andrews_rose_G_equals_block():
-    assert trig.andrews_rose_G(32, 13) == trig.theta_block_q("g", 32, 13)
 
 
 def test_H_x1_coefficient():
