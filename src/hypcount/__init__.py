@@ -10,7 +10,6 @@ theta-block calculus (trig), the two-torsion admissibility geometry
 from .errors import (
     BoundTooSmall,
     DomainError,
-    FractionalExponent,
     HypcountError,
     NonzeroConstantTerm,
     ZeroConstantTerm,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundTooSmall",
     "DomainError",
-    "FractionalExponent",
     "HypcountError",
     "NonzeroConstantTerm",
     "ZeroConstantTerm",

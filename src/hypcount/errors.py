@@ -17,9 +17,5 @@ class NonzeroConstantTerm(HypcountError):
     """Composition with an inner series whose constant term is nonzero."""
 
 
-class FractionalExponent(HypcountError):
-    """q d/dq applied to a series with fractional exponents (denom > 1)."""
-
-
 class BoundTooSmall(HypcountError):
     """Lattice-sum truncation bound too small for the requested order."""

@@ -1,15 +1,15 @@
 """Truncated formal power series with exact rational coefficients.
 
 A Series stores a dense coefficient vector: entry ``n`` is the coefficient
-of ``q**(n/denom)`` for ``n = 0..order``.  ``denom`` is 1 for ordinary
-series; the theta-function work uses ``denom = 4`` to hold quarter-integer
-exponents.  Coefficients are Python ints or Fractions, never floats, so
-every computation in the package is bit-exact.
+of ``q**n`` for ``n = 0..order``.  Every exponent is a whole number; a
+series in fractional powers is written as a whole-power series times an
+explicit prefactor (see ``qforms.theta2_fourth``).  Coefficients are Python
+ints or Fractions, never floats, so every computation in the package is
+bit-exact.
 
-Truncation discipline: binary operations first rescale both operands to the
-least common denom, then truncate the result to the minimum common order.
-A Series is never silently re-extended; a zero tail means "known zero up to
-order", not "unknown".
+Truncation discipline: binary operations truncate the result to the
+minimum order of the operands.  A Series is never silently re-extended; a
+zero tail means "known zero up to order", not "unknown".
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ from itertools import compress, count
 from math import lcm
 from operator import mul
 
-from .errors import (
-    DomainError,
-    FractionalExponent,
-    NonzeroConstantTerm,
-    ZeroConstantTerm,
-)
+from .errors import DomainError, NonzeroConstantTerm, ZeroConstantTerm
 
 Rational = int | Fraction
 
@@ -46,18 +41,10 @@ def _rat_str(c: Rational) -> str:
     return str(c)
 
 
-def _rat_parse(s: str) -> Rational:
-    if "/" in s:
-        num, den = s.split("/")
-        return _norm(Fraction(int(num), int(den)))
-    return int(s)
-
-
 # -- integer kernel ------------------------------------------------------------
 #
 # Products and inverses run on integer numerators over one common coefficient
-# denominator (not to be confused with Series.denom, the exponent
-# denominator).  When the sparser operand has fewer than KRONECKER_MIN
+# denominator.  When the sparser operand has fewer than KRONECKER_MIN
 # nonzero terms, the product takes the zero-skipping schoolbook loop;
 # otherwise it takes Kronecker substitution: pack each operand into one big
 # int with fields wide enough for any product coefficient, do one bigint
@@ -176,23 +163,20 @@ def _int_mul(a, b, n: int) -> list[int]:
 class Series:
     """Immutable truncated power series; safe to share across threads."""
 
-    __slots__ = ("coeffs", "order", "denom")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs, order: int | None = None, denom: int = 1):
+    def __init__(self, coeffs, order: int | None = None):
         coeffs = [_norm(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1 if coeffs else 0
         if order < 0:
             raise DomainError("order must be >= 0")
-        if denom < 1:
-            raise DomainError("denom must be >= 1")
         if len(coeffs) < order + 1:
             coeffs = coeffs + [0] * (order + 1 - len(coeffs))
         else:
             coeffs = coeffs[: order + 1]
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "denom", denom)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -200,74 +184,38 @@ class Series:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(order: int, denom: int = 1) -> "Series":
-        return Series([0], order, denom)
+    def zero(order: int) -> "Series":
+        return Series([0], order)
 
     @staticmethod
-    def one(order: int, denom: int = 1) -> "Series":
-        return Series([1], order, denom)
+    def one(order: int) -> "Series":
+        return Series([1], order)
 
     @staticmethod
-    def from_terms(terms, order: int, denom: int = 1) -> "Series":
-        """Build from {exponent-index: coefficient}; indices above order drop."""
+    def from_terms(terms, order: int) -> "Series":
+        """Build from {exponent: coefficient}; exponents above order drop."""
         coeffs = [0] * (order + 1)
         for n, c in terms.items():
             if 0 <= n <= order:
                 coeffs[n] = _norm(coeffs[n] + c)
-        return Series(coeffs, order, denom)
-
-    # -- alignment ---------------------------------------------------------
-
-    def rescale(self, denom: int) -> "Series":
-        """Re-express with a larger exponent denominator (lossless)."""
-        if denom == self.denom:
-            return self
-        if denom % self.denom != 0:
-            raise DomainError(f"cannot rescale denom {self.denom} to {denom}")
-        step = denom // self.denom
-        coeffs = [0] * (self.order * step + 1)
-        for n, c in enumerate(self.coeffs):
-            coeffs[n * step] = c
-        return Series(coeffs, self.order * step, denom)
-
-    def reduce_denom(self) -> "Series":
-        """Drop to the smallest denom supporting the stored exponents."""
-        if self.denom == 1:
-            return self
-        from math import gcd
-
-        g = self.denom
-        for n, c in enumerate(self.coeffs):
-            if c != 0:
-                g = gcd(g, n)
-        if g <= 1:
-            return self
-        return Series(list(self.coeffs[::g]), self.order // g, self.denom // g)
-
-    def _align(self, other: "Series"):
-        from math import lcm
-
-        d = lcm(self.denom, other.denom)
-        a, b = self.rescale(d), other.rescale(d)
-        order = min(a.order, b.order)
-        return a, b, order, d
+        return Series(coeffs, order)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Series([other], self.order, self.denom)
-        a, b, order, d = self._align(other)
-        return Series([x + y for x, y in zip(a.coeffs, b.coeffs)], order, d)
+            other = Series([other], self.order)
+        order = min(self.order, other.order)
+        return Series([x + y for x, y in zip(self.coeffs, other.coeffs)], order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order, self.denom)
+        return Series([-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Series([other], self.order, self.denom)
+            other = Series([other], self.order)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -275,15 +223,15 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Series([c * other for c in self.coeffs], self.order, self.denom)
-        a, b, order, d = self._align(other)
-        an, aden = _clear(a.coeffs[: order + 1])
-        bn, bden = _clear(b.coeffs[: order + 1])
+            return Series([c * other for c in self.coeffs], self.order)
+        order = min(self.order, other.order)
+        an, aden = _clear(self.coeffs[: order + 1])
+        bn, bden = _clear(other.coeffs[: order + 1])
         out = _int_mul(an, bn, order)
         den = aden * bden
         if den != 1:
             out = [Fraction(c, den) if c else 0 for c in out]
-        return Series(out, order, d)
+        return Series(out, order)
 
     __rmul__ = __mul__
 
@@ -292,7 +240,7 @@ class Series:
             raise DomainError("series power must be an integer")
         if k < 0:
             return self.invert() ** (-k)
-        result = Series.one(self.order, self.denom)
+        result = Series.one(self.order)
         base = self
         while k:
             if k & 1:
@@ -319,12 +267,12 @@ class Series:
             inv.append(-sum(map(mul, tail, reversed(inv))))
         # 1/A = den/N and N(x) = n0 Ahat(x/n0): [q^n] 1/A = den C_n / n0^(n+1)
         if den == 1 and n0 == 1:
-            return Series(inv, self.order, self.denom)
+            return Series(inv, self.order)
         out, p = [], n0
         for c in inv:
             out.append(Fraction(den * c, p))
             p *= n0
-        return Series(out, self.order, self.denom)
+        return Series(out, self.order)
 
     # -- structural operations ----------------------------------------------
 
@@ -336,41 +284,34 @@ class Series:
         out = [0] * (self.order + 1)
         for n in range(0, self.order // m + 1):
             out[n * m] = self.coeffs[n]
-        return Series(out, self.order, self.denom)
+        return Series(out, self.order)
 
     def qderiv(self) -> "Series":
         """The operator q d/dq (multiplies the q**n coefficient by n)."""
-        if self.denom != 1:
-            raise FractionalExponent("q d/dq requires integer exponents")
-        return Series([n * c for n, c in enumerate(self.coeffs)], self.order, 1)
+        return Series([n * c for n, c in enumerate(self.coeffs)], self.order)
 
     def deriv(self) -> "Series":
         """Plain d/dq; order drops by one."""
-        if self.denom != 1:
-            raise FractionalExponent("d/dq requires integer exponents")
         if self.order == 0:
-            return Series([0], 0, 1)
+            return Series([0], 0)
         return Series(
             [(n + 1) * self.coeffs[n + 1] for n in range(self.order)],
             self.order - 1,
-            1,
         )
 
     def shift(self, m: int) -> "Series":
-        """Multiply by q**m (exponent-index units); top m entries fall off."""
+        """Multiply by q**m; top m entries fall off."""
         if m < 0:
             raise DomainError("shift must be >= 0")
-        return Series([0] * m + list(self.coeffs), self.order, self.denom)
+        return Series([0] * m + list(self.coeffs), self.order)
 
     def substitute(self, inner: "Series") -> "Series":
         """Formal composition self(inner); inner must have no constant term."""
         if inner.coeffs[0] != 0:
             raise NonzeroConstantTerm("inner series must have zero constant term")
-        if self.denom != 1:
-            raise FractionalExponent("outer series must have integer exponents")
         # Horner from the top; only the first inner.order outer terms matter
         top = min(self.order, inner.order)
-        result = Series([self.coeffs[top]], inner.order, inner.denom)
+        result = Series([self.coeffs[top]], inner.order)
         for n in range(top - 1, -1, -1):
             result = result * inner + self.coeffs[n]
         return result
@@ -378,28 +319,22 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order >= self.order:
             return self
-        return Series(list(self.coeffs[: order + 1]), order, self.denom)
+        return Series(list(self.coeffs[: order + 1]), order)
 
     # -- queries -------------------------------------------------------------
 
     def __getitem__(self, n: int) -> Rational:
-        """Coefficient of q**(n/denom); zero above the truncation order is a
+        """Coefficient of q**n; zero above the truncation order is a
         phantom, so reads past order raise instead of returning 0."""
         if not 0 <= n <= self.order:
             raise IndexError(f"exponent index {n} outside stored order {self.order}")
         return self.coeffs[n]
 
-    def coefficient(self, num: int, den: int = 1) -> Rational:
-        """Coefficient of q**(num/den)."""
-        if num * self.denom % den != 0:
-            return 0
-        return self[num * self.denom // den]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
     def valuation(self) -> int | None:
-        """Lowest exponent index with a nonzero coefficient, or None for 0."""
+        """Lowest exponent with a nonzero coefficient, or None for 0."""
         for n, c in enumerate(self.coeffs):
             if c != 0:
                 return n
@@ -407,19 +342,17 @@ class Series:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Series([other], self.order, self.denom)
+            other = Series([other], self.order)
         if not isinstance(other, Series):
             return NotImplemented
-        a, b, order, d = self._align(other)
-        if a.order != b.order:
-            unit = "" if d == 1 else f" (in steps of q^(1/{d}))"
-            raise ValueError(f"cannot compare series of orders {a.order} and {b.order}{unit}")
-        return a.coeffs == b.coeffs
+        if self.order != other.order:
+            raise ValueError(f"cannot compare series of orders {self.order} and {other.order}")
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 
     def __repr__(self):
-        return f"Series(order={self.order}, denom={self.denom}, {self.format()!r})"
+        return f"Series(order={self.order}, {self.format()!r})"
 
     def format(self, var: str = "q", max_terms: int | None = None) -> str:
         """Human-readable sum, e.g. ``1 + 24q + 324q^2``."""
@@ -431,18 +364,7 @@ class Series:
             if max_terms is not None and len(parts) >= max_terms:
                 truncated = True
                 break
-            if n == 0:
-                mono = ""
-            else:
-                if self.denom == 1:
-                    exp = "" if n == 1 else f"^{n}"
-                else:
-                    from math import gcd
-
-                    g = gcd(n, self.denom)
-                    num, den = n // g, self.denom // g
-                    exp = f"^({num}/{den})" if den > 1 else ("" if num == 1 else f"^{num}")
-                mono = f"{var}{exp}"
+            mono = "" if n == 0 else var if n == 1 else f"{var}^{n}"
             mag = abs(c)
             coef = "" if (mag == 1 and mono) else _rat_str(mag)
             sign = "-" if c < 0 else "+"
@@ -460,25 +382,19 @@ class Series:
     # -- serialization (cache / golden-file format) ---------------------------
 
     def to_json(self) -> dict:
+        # the first key, once an exponent denominator, stays so that existing
+        # cache files and output digests remain valid
         return {
-            "denom": self.denom,
+            "denom": 1,
             "order": self.order,
             "coeffs": [_rat_str(c) for c in self.coeffs],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "Series":
-        return Series(
-            [_rat_parse(s) for s in data["coeffs"]],
-            data["order"],
-            data["denom"],
-        )
 
 
 class XPoly:
     """Polynomial in a formal variable x whose coefficients are Series.
 
-    All coefficient Series share one (order, denom).
+    All coefficient Series share one order.
     """
 
     __slots__ = ("xcoeffs", "xdeg")
@@ -488,9 +404,6 @@ class XPoly:
         if not xcoeffs:
             raise DomainError("XPoly needs at least the x^0 coefficient")
         order = min(s.order for s in xcoeffs)
-        denom = xcoeffs[0].denom
-        if any(s.denom != denom for s in xcoeffs):
-            raise DomainError("XPoly coefficients must share one denom")
         xcoeffs = [s.truncate(order) for s in xcoeffs]
         object.__setattr__(self, "xcoeffs", tuple(xcoeffs))
         object.__setattr__(self, "xdeg", len(xcoeffs) - 1)
@@ -502,16 +415,12 @@ class XPoly:
     def order(self) -> int:
         return self.xcoeffs[0].order
 
-    @property
-    def denom(self) -> int:
-        return self.xcoeffs[0].denom
-
     def coefficient(self, i: int) -> Series:
         """Series coefficient of x**i (zero Series above the stored degree)."""
         if i < 0:
             raise DomainError("x-degree must be >= 0")
         if i > self.xdeg:
-            return Series.zero(self.order, self.denom)
+            return Series.zero(self.order)
         return self.xcoeffs[i]
 
     def __eq__(self, other):

@@ -200,23 +200,17 @@ def legendre_series(order: int) -> Series:
 def theta2_fourth(order: int) -> Series:
     """Fourth power of the half-integer theta sum_{k in Z} q^((k+1/2)^2).
 
-    The sum is two-sided: k and -k-1 contribute the same exponent, so each
-    odd square (2k+1)^2/4 carries coefficient 2.  (The one-sided sum fails
-    the required sixteenth-of-E identity by a factor 16 already at q^1.)
-    Intermediate work runs at denom 4; every exponent of the fourth power
-    is integral, and the result is returned at denom 1.
+    The sum is two-sided: k and -k-1 contribute the same exponent
+    (k+1/2)^2 = k^2+k+1/4, so theta = 2 q^(1/4) sum_{k>=0} q^(k^2+k) and its
+    fourth power is 16 q (sum_{k>=0} q^(k^2+k))^4, in whole powers of q.
+    (The one-sided sum fails the required sixteenth-of-E identity by a
+    factor 16 already at q^1.)
     """
-    num_order = 4 * order
-    terms = {}
-    k = 0
-    while (2 * k + 1) ** 2 <= num_order:
-        terms[(2 * k + 1) ** 2] = 2
+    terms, k = {}, 0
+    while k * k + k <= order:
+        terms[k * k + k] = 2
         k += 1
-    theta = Series.from_terms(terms, num_order, denom=4)
-    fourth = theta ** 4
-    if any(c for n, c in enumerate(fourth.coeffs) if n % 4):
-        raise DomainError("theta fourth power produced a fractional exponent")
-    return Series(list(fourth.coeffs[::4]), order, 1)
+    return (Series.from_terms(terms, order) ** 4).shift(1)
 
 
 # ---------------------------------------------------------------------------

@@ -266,12 +266,21 @@ def test_verify_check(verify_all, tag):
 
 
 def test_verify_all_has_single_known_failure(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "all", "--order", "16")
+    # test_verify_check covers every other check; the counting suite holds
+    # the one expected failure
+    code, out, _ = run(capsys, "verify", "--suite", "counting", "--order", "16")
     assert code == 1
     lines = out.splitlines()
     failing = [line for line in lines if line.startswith("[FAIL]")]
     assert len(failing) == 1 and "table-total-row" in failing[0]
     assert lines[-1].endswith("checks passed")
+
+
+def test_verify_check_ids_are_unique():
+    # a duplicate id would shadow a check in the verify_all fixture; the
+    # benchmark's verify workload expects exactly 42 checks
+    ids = [f"{suite}:{name}" for suite, name, _, _ in verify.CHECKS]
+    assert len(set(ids)) == len(ids) == 42
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -4,27 +4,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypcount.errors import (
-    DomainError,
-    FractionalExponent,
-    NonzeroConstantTerm,
-    ZeroConstantTerm,
-)
+from hypcount.errors import NonzeroConstantTerm, ZeroConstantTerm
 from hypcount.fps import KRONECKER_MIN, Series, XPoly, _int_mul, _kron_mul, _school_mul
 from hypcount.qforms import pochhammer
 
 
-def S(*coeffs, order=None, denom=1):
-    return Series(list(coeffs), order, denom)
+def S(*coeffs, order=None):
+    return Series(list(coeffs), order)
 
 
-def random_series(rng, order, denom=1, invertible=False):
+def random_series(rng, order, invertible=False):
     coeffs = [rng.randint(-4, 4) for _ in range(order + 1)]
     if rng.random() < 0.4:
         coeffs[rng.randrange(order + 1)] = Fraction(rng.randint(-5, 5), rng.choice((2, 3)))
     if invertible:
         coeffs[0] = rng.choice((1, -1, 2))
-    return Series(coeffs, order, denom)
+    return Series(coeffs, order)
 
 
 # -- add ---------------------------------------------------------------------
@@ -35,7 +30,7 @@ def test_equality_needs_equal_orders():
     assert S(1, 5, 7, order=2) != S(1, 5, 8, order=2)
     assert S(3, order=4) == 3 and 3 == S(3, order=4)
     assert S(3, 1, order=4) != 3
-    assert S(1, 0, 2, order=2, denom=1) == Series([1, 0, 0, 0, 2], 4, 2)
+    assert S(1, 0, 2, order=2) == Series([1, 0, 2, 0, 4], 2)  # tail past order drops
     with pytest.raises(ValueError, match="orders 0 and 2"):
         Series([1], 0) == S(1, 5, 7, order=2)
     with pytest.raises(ValueError, match="orders 2 and 3"):
@@ -183,16 +178,6 @@ def test_series_mul_matches_rational_oracle():
         assert all(type(c) is int for c in got.coeffs if Fraction(c).denominator == 1)
 
 
-def test_series_mul_denom4_matches_rational_oracle():
-    rng = random.Random(47)
-    for _ in range(20):
-        a = random_series(rng, 4 * 12, denom=4)
-        b = random_series(rng, 12)
-        got = a * b
-        assert got.denom == 4 and got.order == 48
-        assert list(got.coeffs) == rational_product(a, b.rescale(4))
-
-
 def rational_inverse(coeffs, order):
     """Reference recursion in Fractions: out_n = -sum a_k out_(n-k) / a_0."""
     a = [Fraction(c) for c in coeffs]
@@ -207,9 +192,8 @@ def test_invert_matches_rational_recursion(a0):
     rng = random.Random(53)
     for _ in range(10):
         s = random_series(rng, 40)
-        s = Series([a0] + list(s.coeffs[1:]), 40, denom=rng.choice((1, 4)))
+        s = Series([a0] + list(s.coeffs[1:]), 40)
         got = s.invert()
-        assert got.denom == s.denom
         assert list(got.coeffs) == rational_inverse(s.coeffs, 40)
         assert all(type(c) is int for c in got.coeffs if Fraction(c).denominator == 1)
 
@@ -257,11 +241,6 @@ def test_qderiv_termwise():
 
 def test_qderiv_constant():
     assert Series.one(4).qderiv() == Series.zero(4)
-
-
-def test_qderiv_requires_integer_exponents():
-    with pytest.raises(FractionalExponent):
-        S(1, 1, order=2, denom=4).qderiv()
 
 
 def test_qderiv_is_derivation():
@@ -337,7 +316,7 @@ def test_substitute_nonzero_constant_raises():
         S(1, 1, order=3).substitute(S(1, 1, order=3))
 
 
-# -- ring axioms, denom handling, serialization ------------------------------
+# -- ring axioms, serialization ----------------------------------------------
 
 
 def test_ring_axioms_random():
@@ -351,34 +330,10 @@ def test_ring_axioms_random():
         assert (a * b) * c == a * (b * c)
 
 
-def test_denom_alignment_in_arithmetic():
-    quarter = Series.from_terms({1: 1}, 8, denom=4)  # q^(1/4), order 2 in q
-    whole = S(1, 1, order=2)  # 1 + q
-    out = quarter * whole
-    assert out.denom == 4
-    assert out.order == 8  # min common order after rescaling
-    assert out[1] == 1 and out[5] == 1 and sum(map(abs, out.coeffs)) == 2
-
-
-def test_denom_roundtrip_preserves_coeffs():
-    rng = random.Random(29)
-    for _ in range(40):
-        a = random_series(rng, 10, denom=rng.choice((1, 2)))
-        up = a.rescale(a.denom * 4)
-        assert up == a
-        assert up.reduce_denom() == a
-
-
-def test_equality_after_rescaling():
-    a = S(1, 0, 2, order=2, denom=1)
-    b = a.rescale(4)
-    assert a == b and b == a
-
-
 def test_json_roundtrip():
-    s = S(1, Fraction(-3, 2), 0, 7, order=5, denom=4)
-    assert Series.from_json(s.to_json()) == s
+    s = S(1, Fraction(-3, 2), 0, 7, order=5)
     assert s.to_json()["coeffs"] == ["1", "-3/2", "0", "7", "0", "0"]
+    assert s.to_json()["denom"] == 1  # kept so existing files stay valid
 
 
 def test_getitem_rejects_phantom_tail():
@@ -398,8 +353,3 @@ def test_format_rendering():
 def test_xpoly_coefficient_beyond_degree_is_zero():
     p = XPoly([Series.one(3)])
     assert p.coefficient(5).is_zero()
-
-
-def test_xpoly_requires_common_denom():
-    with pytest.raises(DomainError):
-        XPoly([Series.one(3, denom=1), Series.one(3, denom=4)])
