@@ -14,7 +14,7 @@ from .errors import (
     NonzeroConstantTerm,
     ZeroConstantTerm,
 )
-from .fps import Series, XPoly
+from .fps import Series
 from .numtheory import odd_split_count, sigma1, sigma1_lemma_check
 from .qforms import (
     NamedForm,
@@ -73,7 +73,6 @@ __all__ = [
     "NonzeroConstantTerm",
     "ZeroConstantTerm",
     "Series",
-    "XPoly",
     "odd_split_count",
     "sigma1",
     "sigma1_lemma_check",

@@ -116,20 +116,25 @@ def cmd_fgk(args) -> int:
     return 0
 
 
-def _report_table_text(report) -> str:
-    cols = list(range(2, report.order + 1))
-    rows = report.table_rows()
-    name_w = max(len(r[0]) for r in rows)
-    cells = []
-    for shape, mult, coeffs in rows:
-        cells.append(
-            [shape, "" if mult is None else str(mult)]
-            + [str(c) if c else "" for c in coeffs]
-        )
-    widths = [name_w, 4] + [
-        max(4, *(len(row[i + 2]) for row in cells)) for i in range(len(cols))
+def _table_cells(report, mult_title: str) -> list:
+    """The header row, then the cells of each table_rows() row as strings;
+    a zero coefficient is an empty cell."""
+    header = ["shape", mult_title] + [f"q^{n}" for n in range(2, report.order + 1)]
+    return [header] + [
+        [shape, "" if mult is None else str(mult)] + [str(c) if c else "" for c in coeffs]
+        for shape, mult, coeffs in report.table_rows()
     ]
-    header = ["shape", "mult"] + [f"q^{n}" for n in cols]
+
+
+def _report_table_csv(report) -> str:
+    return "\n".join(",".join(row) for row in _table_cells(report, "multiplicity")) + "\n"
+
+
+def _report_table_text(report) -> str:
+    header, *cells = _table_cells(report, "mult")
+    widths = [max(len(row[0]) for row in cells), 4] + [
+        max(4, *(len(row[i]) for row in cells)) for i in range(2, len(header))
+    ]
 
     def line(row):
         first = row[0].ljust(widths[0])
@@ -148,7 +153,7 @@ def cmd_genus(args) -> int:
     if args.format == "json":
         _emit(_canonical_json(report.to_json()), args.out)
     elif args.format == "csv":
-        _emit(report.to_csv(), args.out)
+        _emit(_report_table_csv(report), args.out)
     elif args.table:
         _emit(_report_table_text(report), args.out)
     else:

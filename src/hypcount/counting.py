@@ -140,11 +140,11 @@ def f_gk_via_potential(config, order: int) -> Series:
         term = yz.shift(kummer.mask_size(P) // 2 - 2)
         for v, kv in enumerate(config):
             block = h_block if P >> v & 1 else g_block
-            factor = block.coefficient(kv)
-            if factor.is_zero():
+            # x-degrees past the block's last column have zero coefficient
+            if kv >= len(block) or block[kv].is_zero():
                 term = Series.zero(order)
                 break
-            term = term * factor
+            term = term * block[kv]
         acc = acc + term
     return acc
 
@@ -187,30 +187,11 @@ def gottsche_reconcile(order: int) -> bool:
 
 
 @dataclass(frozen=True)
-class OrbitEntry:
-    rep: tuple
-    size: int
-    coset: str
-    shape: str
-    series: Series
-
-    def to_json(self) -> dict:
-        data = {
-            "rep": list(self.rep),
-            "orbit_size": self.size,
-            "coset": self.coset,
-            "shape": self.shape,
-        }
-        data.update(self.series.to_json())
-        return data
-
-
-@dataclass(frozen=True)
 class CountReport:
     """Genus aggregate.  ``shapes`` maps each shape label to (number of
     translation-orbit classes of that shape, the shape's series); ``total``
     is the sum of multiplicity times series.  ``orbits`` lists the classes
-    one by one and is enumerated on first access only."""
+    one by one as ``kummer.Orbit`` and is enumerated on first access only."""
 
     genus: int
     order: int
@@ -219,22 +200,24 @@ class CountReport:
 
     @cached_property
     def orbits(self) -> tuple:
-        entries = []
-        for orbit in kummer.translation_orbits(2 * self.genus + 2):
-            shape = shape_label(orbit.rep)
-            entries.append(
-                OrbitEntry(orbit.rep, orbit.size, orbit.coset, shape, self.shapes[shape][1])
-            )
-        return tuple(entries)
+        return tuple(kummer.translation_orbits(2 * self.genus + 2))
 
     def shape_multiplicities(self) -> dict:
         return {shape: mult for shape, (mult, _) in self.shapes.items()}
 
     def to_json(self) -> dict:
+        # each shape's series is serialized once and shared by its orbits
+        by_shape = {
+            shape: {"shape": shape, **series.to_json()}
+            for shape, (_, series) in self.shapes.items()
+        }
         return {
             "genus": self.genus,
             "order": self.order,
-            "orbits": [entry.to_json() for entry in self.orbits],
+            "orbits": [
+                {**orbit.to_json(), **by_shape[shape_label(orbit.rep)]}
+                for orbit in self.orbits
+            ],
             "total": self.total.to_json()["coeffs"],
         }
 
@@ -256,15 +239,6 @@ class CountReport:
             (f"F_{self.genus}(u)", None, [self.total[n] for n in range(2, self.order + 1)])
         )
         return rows
-
-    def to_csv(self) -> str:
-        header = ["shape", "multiplicity"] + [f"q^{n}" for n in range(2, self.order + 1)]
-        lines = [",".join(header)]
-        for shape, mult, coeffs in self.table_rows():
-            cells = [shape, "" if mult is None else str(mult)]
-            cells += [str(c) if c else "" for c in coeffs]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 def genus_total(g: int, order: int) -> CountReport:

@@ -205,6 +205,8 @@ class Series:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Series([other], self.order)
+        elif not isinstance(other, Series):
+            return NotImplemented
         order = min(self.order, other.order)
         return Series([x + y for x, y in zip(self.coeffs, other.coeffs)], order)
 
@@ -214,8 +216,6 @@ class Series:
         return Series([-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Series([other], self.order)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -224,6 +224,8 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Series([c * other for c in self.coeffs], self.order)
+        if not isinstance(other, Series):
+            return NotImplemented
         order = min(self.order, other.order)
         an, aden = _clear(self.coeffs[: order + 1])
         bn, bden = _clear(other.coeffs[: order + 1])
@@ -354,16 +356,12 @@ class Series:
     def __repr__(self):
         return f"Series(order={self.order}, {self.format()!r})"
 
-    def format(self, var: str = "q", max_terms: int | None = None) -> str:
+    def format(self, var: str = "q") -> str:
         """Human-readable sum, e.g. ``1 + 24q + 324q^2``."""
         parts = []
-        truncated = False
         for n, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            if max_terms is not None and len(parts) >= max_terms:
-                truncated = True
-                break
             mono = "" if n == 0 else var if n == 1 else f"{var}^{n}"
             mag = abs(c)
             coef = "" if (mag == 1 and mono) else _rat_str(mag)
@@ -375,8 +373,6 @@ class Series:
         out = ("-" if first_sign == "-" else "") + first
         for sign, term in parts[1:]:
             out += f" {sign} {term}"
-        if truncated:
-            out += " + ..."
         return out
 
     # -- serialization (cache / golden-file format) ---------------------------
@@ -389,54 +385,3 @@ class Series:
             "order": self.order,
             "coeffs": [_rat_str(c) for c in self.coeffs],
         }
-
-
-class XPoly:
-    """Polynomial in a formal variable x whose coefficients are Series.
-
-    All coefficient Series share one order.
-    """
-
-    __slots__ = ("xcoeffs", "xdeg")
-
-    def __init__(self, xcoeffs):
-        xcoeffs = list(xcoeffs)
-        if not xcoeffs:
-            raise DomainError("XPoly needs at least the x^0 coefficient")
-        order = min(s.order for s in xcoeffs)
-        xcoeffs = [s.truncate(order) for s in xcoeffs]
-        object.__setattr__(self, "xcoeffs", tuple(xcoeffs))
-        object.__setattr__(self, "xdeg", len(xcoeffs) - 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XPoly is immutable")
-
-    @property
-    def order(self) -> int:
-        return self.xcoeffs[0].order
-
-    def coefficient(self, i: int) -> Series:
-        """Series coefficient of x**i (zero Series above the stored degree)."""
-        if i < 0:
-            raise DomainError("x-degree must be >= 0")
-        if i > self.xdeg:
-            return Series.zero(self.order)
-        return self.xcoeffs[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return all(
-            self.coefficient(i) == other.coefficient(i)
-            for i in range(max(self.xdeg, other.xdeg) + 1)
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        terms = [
-            f"({s.format(max_terms=4)})*x^{i}"
-            for i, s in enumerate(self.xcoeffs)
-            if not s.is_zero()
-        ]
-        return "XPoly[" + " + ".join(terms[:6]) + ("]" if len(terms) <= 6 else " ...]")

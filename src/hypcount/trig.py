@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import BoundTooSmall, DomainError
-from .fps import Series, XPoly
+from .fps import Series
 from .numtheory import odd_split_count
 from . import qforms
 
@@ -90,11 +90,13 @@ def cheb_even_identity_exact(n: int) -> bool:
 
 
 def _block_terms(kind: str, order: int):
-    """Yield (n, u_exponent) for the block's Chebyshev terms up to order.
+    """Yield (x_degree, u_exponent) for the block's Chebyshev terms up to
+    order: the term 2 T_deg(x/2) u^e.
 
-    h carries u^(2n^2+2n) for n >= 0, g carries u^(2n^2) for n >= 1; the
-    loop stops at the first exponent above order, which is safe because the
-    exponents increase monotonically (bound n <= sqrt(order/2) + 1).
+    h carries T_(2n+1) at u^(2n^2+2n) for n >= 0, g carries T_(2n) at
+    u^(2n^2) for n >= 1; the loop stops at the first exponent above order,
+    which is safe because the exponents increase monotonically (bound
+    n <= sqrt(order/2) + 1).
     """
     if kind not in ("h", "g"):
         raise DomainError("block kind must be 'h' or 'g'")
@@ -103,21 +105,20 @@ def _block_terms(kind: str, order: int):
         e = 2 * n * n + 2 * n if kind == "h" else 2 * n * n
         if e > order:
             return
-        yield n, e
+        yield (2 * n + 1 if kind == "h" else 2 * n), e
         n += 1
 
 
 def block_xdeg(kind: str, order: int) -> int:
     """Largest x-degree with a nonzero coefficient at this u-order."""
-    deg = 0
-    for n, _ in _block_terms(kind, order):
-        deg = 2 * n + 1 if kind == "h" else 2 * n
-    return deg
+    return max((deg for deg, _ in _block_terms(kind, order)), default=0)
 
 
 @lru_cache(maxsize=None)
-def theta_block(kind: str, order: int, xdeg: int | None = None) -> XPoly:
-    """The per-point block as an x-polynomial with u-series coefficients.
+def theta_block(kind: str, order: int, xdeg: int | None = None) -> tuple:
+    """The per-point block as a tuple of u-series indexed by x-degree:
+    entry i is the coefficient of x^i, every entry has the given order, and
+    degrees above xdeg (default block_xdeg) are cut off.
 
     h = 2 sum_n T_(2n+1)(x/2) u^(2n^2+2n)   (odd x-degrees only)
     g = 1 + 2 sum_(n>=1) T_(2n)(x/2) u^(2n^2)   (even x-degrees only)
@@ -125,25 +126,24 @@ def theta_block(kind: str, order: int, xdeg: int | None = None) -> XPoly:
     if xdeg is None:
         xdeg = block_xdeg(kind, order)
     cols = [dict() for _ in range(xdeg + 1)]
-    for n, e in _block_terms(kind, order):
-        deg = 2 * n + 1 if kind == "h" else 2 * n
+    for deg, e in _block_terms(kind, order):
         for i, c in enumerate(cheb_half_doubled(deg)):
             if c and i <= xdeg:
                 cols[i][e] = cols[i].get(e, 0) + c
     if kind == "g":
         cols[0][0] = cols[0].get(0, 0) + 1  # bare constant term; the sum starts at n = 1
-    return XPoly([Series.from_terms(col, order) for col in cols])
+    return tuple(Series.from_terms(col, order) for col in cols)
 
 
-def theta_block_q(kind: str, order: int, xdeg: int | None = None) -> XPoly:
+def theta_block_q(kind: str, order: int, xdeg: int | None = None) -> tuple:
     """Same block in the q-convention (q = u^2): exponents n^2+n and n^2."""
     block = theta_block(kind, 2 * order, xdeg)
     halved = []
-    for s in block.xcoeffs:
+    for s in block:
         if any(c for n, c in enumerate(s.coeffs) if n % 2):
             raise DomainError("u-block has an odd exponent; cannot halve")
         halved.append(Series(list(s.coeffs[::2]), order))
-    return XPoly(halved)
+    return tuple(halved)
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +151,23 @@ def theta_block_q(kind: str, order: int, xdeg: int | None = None) -> XPoly:
 # ---------------------------------------------------------------------------
 
 
-def andrews_rose_H(order: int, xdeg: int) -> XPoly:
+def andrews_rose_H(order: int, xdeg: int) -> tuple:
     """H(x,q) = (q^2;q^2)oo^3 * sum_k A_k(q^2) x^(2k+1)."""
     prefac = qforms.pochhammer(1, 2, order) ** 3
     cols = [Series.zero(order) for _ in range(xdeg + 1)]
     for k in range(0, (xdeg - 1) // 2 + 1):
         ak = qforms.macmahon_A(k, order).compose_monomial(2)
         cols[2 * k + 1] = prefac * ak
-    return XPoly(cols)
+    return tuple(cols)
 
 
-def andrews_rose_G(order: int, xdeg: int) -> XPoly:
+def andrews_rose_G(order: int, xdeg: int) -> tuple:
     """G(x,q) = ((q;q)oo / (-q;q)oo) * sum_k C_k(q) x^(2k)."""
     prefac = qforms.pochhammer(1, 1, order) * qforms.pochhammer(-1, 1, order).invert()
     cols = [Series.zero(order) for _ in range(xdeg + 1)]
     for k in range(0, xdeg // 2 + 1):
         cols[2 * k] = prefac * qforms.macmahon_C(k, order)
-    return XPoly(cols)
+    return tuple(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +178,7 @@ def andrews_rose_G(order: int, xdeg: int) -> XPoly:
 @lru_cache(maxsize=None)
 def two_sin_half(order: int) -> Series:
     """2 sin(z/2) = sum_l (-1/4)^l z^(2l+1) / (2l+1)!."""
-    terms = {}
-    for l in range(0, (order - 1) // 2 + 1):
-        terms[2 * l + 1] = Fraction(-1, 4) ** l * Fraction(1, factorial(2 * l + 1))
-    return Series.from_terms(terms, order)
+    return scaled_sin(Fraction(1, 2), order) * 2
 
 
 def scaled_sin(m: Fraction, order: int) -> Series:
@@ -216,7 +213,7 @@ def z_of_x(order: int) -> Series:
 
 def theta_block_from_lattice_sum(
     kind: str, bound: int, order: int, xdeg: int | None = None
-) -> XPoly:
+) -> tuple:
     """Rebuild a block from the truncated two-sided exponential sums.
 
     g-points carry sum_{|k|<=bound} (-1)^k u^(2k^2) e^(ikz); conjugate terms
@@ -254,7 +251,7 @@ def theta_block_from_lattice_sum(
                 add(e, 2 * (-1) ** k, scaled_sin(Fraction(2 * k + 1, 2), xdeg))
     else:
         raise DomainError("block kind must be 'h' or 'g'")
-    return XPoly([Series.from_terms(col, order) for col in cols])
+    return tuple(Series.from_terms(col, order) for col in cols)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypcount.errors import NonzeroConstantTerm, ZeroConstantTerm
-from hypcount.fps import KRONECKER_MIN, Series, XPoly, _int_mul, _kron_mul, _school_mul
+from hypcount.fps import KRONECKER_MIN, Series, _int_mul, _kron_mul, _school_mul
 from hypcount.qforms import pochhammer
 
 
@@ -48,6 +48,16 @@ def test_add_identity():
 
 def test_add_direct():
     assert S(0, 1, 3, order=3) + S(0, 0, 2, order=3) == S(0, 1, 5, order=3)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda s: s * 1.5, lambda s: 1.5 * s, lambda s: s + "x"],
+    ids=["series*float", "float*series", "series+str"],
+)
+def test_foreign_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(Series.one(3))
 
 
 def test_add_truncates_to_min_order():
@@ -345,11 +355,3 @@ def test_getitem_rejects_phantom_tail():
 def test_format_rendering():
     assert S(1, -1, 0, Fraction(1, 2), order=3).format() == "1 - q + 1/2q^3"
     assert Series.zero(3).format() == "0"
-
-
-# -- XPoly -------------------------------------------------------------------
-
-
-def test_xpoly_coefficient_beyond_degree_is_zero():
-    p = XPoly([Series.one(3)])
-    assert p.coefficient(5).is_zero()

@@ -55,19 +55,36 @@ def test_cheb_half_doubled_integrality():
 
 def test_h_block_lowest_term():
     h = trig.theta_block("h", 12)
-    assert h.coefficient(1)[0] == 1  # 2 T_1(x/2) = x at u^0
+    assert h[1][0] == 1  # 2 T_1(x/2) = x at u^0
 
 
 def test_g_block_constant_and_x2():
     g = trig.theta_block("g", 12)
-    assert g.coefficient(0)[0] == 1
-    assert g.coefficient(2)[2] == 1  # from 2T_2(x/2) = x^2 - 2 at u^2
+    assert g[0][0] == 1
+    assert g[2][2] == 1  # from 2T_2(x/2) = x^2 - 2 at u^2
 
 
 def test_h_block_x1_is_cube_of_even_pochhammer():
     # the x-coefficient at k=0 must be (q^2;q^2)^3 with q=u^2 (Jacobi cube)
     h = trig.theta_block("h", 24)
-    assert h.coefficient(1) == qforms.pochhammer(1, 2, 24).compose_monomial(2) ** 3
+    assert h[1] == qforms.pochhammer(1, 2, 24).compose_monomial(2) ** 3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda order: trig.theta_block("h", order),
+        lambda order: trig.theta_block_q("g", order, 7),
+        lambda order: trig.andrews_rose_H(order, 7),
+        lambda order: trig.andrews_rose_G(order, 6),
+        lambda order: trig.theta_block_from_lattice_sum("g", 4, order),
+    ],
+    ids=["theta_block", "theta_block_q", "andrews_rose_H", "andrews_rose_G", "lattice_sum"],
+)
+def test_block_builders_return_series_of_the_requested_order(build):
+    block = build(20)
+    assert type(block) is tuple and block
+    assert all(isinstance(s, Series) and s.order == 20 for s in block)
 
 
 # -- Andrews-Rose expansions ----------------------------------------------------
@@ -75,7 +92,7 @@ def test_h_block_x1_is_cube_of_even_pochhammer():
 
 def test_H_x1_coefficient():
     H = trig.andrews_rose_H(16, 3)
-    assert H.coefficient(1) == qforms.pochhammer(1, 2, 16) ** 3  # A_0 = 1 term
+    assert H[1] == qforms.pochhammer(1, 2, 16) ** 3  # A_0 = 1 term
 
 
 # -- lattice-sum route -----------------------------------------------------------
