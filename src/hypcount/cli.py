@@ -132,9 +132,7 @@ def _report_table_csv(report) -> str:
 
 def _report_table_text(report) -> str:
     header, *cells = _table_cells(report, "mult")
-    widths = [max(len(row[0]) for row in cells), 4] + [
-        max(4, *(len(row[i]) for row in cells)) for i in range(2, len(header))
-    ]
+    widths = [max(4, *map(len, column)) for column in zip(header, *cells)]
 
     def line(row):
         first = row[0].ljust(widths[0])

@@ -54,7 +54,14 @@ def _rat_str(c: Rational) -> str:
 # 73 us by schoolbook against 16 / 26 / 30 us by Kronecker; a 1024-term
 # operand against one with 10 / 20 / 30 nonzero terms took 0.67 / 0.68 /
 # 1.44 ms against 0.80 / 0.70 / 0.72 ms.
+#
+# An inverse runs its recursion over the divisor's nonzero terms when at most
+# one in _SPARSE_SPAN of them is nonzero, else as one dense sum per term.
+# Same machine, random tails at order 1024 with 1/4, 1/3, 1/2 nonzero: 40 /
+# 51 / 47 ms dense against 27 / 41 / 53 ms by nonzeros.  (q;q) (51 nonzero
+# terms) takes 32 against 5 ms; (q;q)^24 (all nonzero) 75 against 147 ms.
 KRONECKER_MIN = 20
+_SPARSE_SPAN = 4
 _LEAF = 16  # fields packed or unpacked one at a time below this
 
 
@@ -75,6 +82,8 @@ def _valuation(c) -> int:
 def _school_mul(a, b, n: int) -> list[int]:
     """Coefficients 0..n of a*b by the zero-skipping schoolbook loop."""
     a, b = a[: n + 1], b[: n + 1]
+    if len(a) - a.count(0) > len(b) - b.count(0):  # sparser operand outside
+        a, b = b, a
     if len(b) <= n:
         b = list(b) + [0] * (n + 1 - len(b))
     # skip leading zero runs; partial products in nested sums start high
@@ -166,7 +175,9 @@ class Series:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int | None = None):
-        coeffs = [_norm(c) for c in coeffs]
+        coeffs = list(coeffs)
+        if not set(map(type, coeffs)) <= {int}:  # kernel outputs are all int
+            coeffs = [_norm(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1 if coeffs else 0
         if order < 0:
@@ -222,8 +233,12 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Series([c * other for c in self.coeffs], self.order)
+        if isinstance(other, Fraction):  # scale the common denominator once
+            num, den = _clear(self.coeffs)
+            p, den = other.numerator, den * other.denominator
+            return Series([Fraction(c * p, den) if c else 0 for c in num], self.order)
         if not isinstance(other, Series):
             return NotImplemented
         order = min(self.order, other.order)
@@ -264,9 +279,17 @@ class Series:
         for c in num[1:]:
             tail.append(c * p)
             p *= n0
-        inv = [1]
-        for _ in range(self.order):
-            inv.append(-sum(map(mul, tail, reversed(inv))))
+        pairs = [(k, c) for k, c in enumerate(tail, 1) if c]
+        if len(pairs) * _SPARSE_SPAN <= len(tail):
+            # C_n = -sum a_k C_(n-k) over the nonzero a_k; C below 0 reads 0
+            inv = [0] * self.order + [1]
+            for m in range(self.order + 1, 2 * self.order + 1):
+                inv.append(-sum([c * inv[m - k] for k, c in pairs]))
+            inv = inv[self.order :]
+        else:
+            inv = [1]
+            for _ in range(self.order):
+                inv.append(-sum(map(mul, tail, reversed(inv))))
         # 1/A = den/N and N(x) = n0 Ahat(x/n0): [q^n] 1/A = den C_n / n0^(n+1)
         if den == 1 and n0 == 1:
             return Series(inv, self.order)

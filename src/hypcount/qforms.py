@@ -166,20 +166,21 @@ def pochhammer(sign: int, scale: int, order: int) -> Series:
 
     (q;q)oo is (sign=+1, scale=1); (-q;q)oo is (sign=-1, scale=1);
     (q^2;q^2)oo is (sign=+1, scale=2), and so on.
+
+    (q;q)oo = sum_{k in Z} (-1)^k q^(k(3k-1)/2) by Euler's pentagonal number
+    theorem, and (-q;q)oo = (q^2;q^2)oo / (q;q)oo.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     if scale < 1:
         raise DomainError("scale must be >= 1")
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    k = 1
-    while k * scale <= order:
-        s = k * scale
-        for n in range(order, s - 1, -1):
-            coeffs[n] -= sign * coeffs[n - s]
+    if sign == -1:
+        return pochhammer(1, 2 * scale, order) * pochhammer(1, scale, order).invert()
+    terms, k = {0: 1}, 1
+    while scale * k * (3 * k - 1) // 2 <= order:
+        terms[scale * k * (3 * k - 1) // 2] = terms[scale * k * (3 * k + 1) // 2] = (-1) ** k
         k += 1
-    return Series(coeffs, order)
+    return Series.from_terms(terms, order)
 
 
 @lru_cache(maxsize=None)

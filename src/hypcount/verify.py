@@ -152,10 +152,14 @@ def check_C1_from_A1(order, rng):
 
 
 def check_poch_split(order, rng):
-    o = max(order, 64)
-    lhs = qforms.pochhammer(1, 1, o) * qforms.pochhammer(-1, 1, o)
-    ok = lhs == qforms.pochhammer(1, 2, o)
-    return ok, f"(q;q)(-q;q) = (q^2;q^2) to order {o}"
+    o = max(order, 70)  # a generalized pentagonal number: (q;q) has a q^70 term
+    ok = qforms.pochhammer(1, 1, o) * qforms.pochhammer(-1, 1, o) == qforms.pochhammer(1, 2, o)
+    for sign, scale in ((1, 1), (-1, 1), (1, 2)):
+        product = Series.one(o)
+        for k in range(1, o // scale + 1):
+            product = product * Series.from_terms({0: 1, k * scale: -sign}, o)
+        ok = ok and qforms.pochhammer(sign, scale, o) == product
+    return ok, f"(q;q), (-q;q), (q^2;q^2) by finite products; (q;q)(-q;q) = (q^2;q^2) to order {o}"
 
 
 def check_legendre(order, rng):

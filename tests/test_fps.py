@@ -166,6 +166,35 @@ def test_int_mul_matches_schoolbook_hypothesis(a, b, n):
     assert both_products(a, b, n) == (want, want)
 
 
+sparse_ints = st.builds(
+    lambda terms, n: [terms.get(k, 0) for k in range(n)],
+    st.dictionaries(st.integers(0, 69), coefficient, max_size=5),
+    st.integers(0, 70),
+)
+
+
+@derandomized
+@given(sparse_ints, st.lists(coefficient, max_size=70), st.integers(0, 150))
+def test_school_mul_is_symmetric_on_sparse_dense(a, b, n):
+    want = _kron_mul(list(a), list(b), n)
+    assert _school_mul(a, b, n) == _school_mul(b, a, n) == want
+
+
+@pytest.mark.parametrize(
+    "scalar", [Fraction(0), Fraction(3), Fraction(-7, 1), Fraction(-2, 3), Fraction(5, 12)]
+)
+def test_series_times_fraction_matches_termwise(scalar):
+    rng = random.Random(59)
+    for _ in range(20):
+        s = random_series(rng, rng.randint(0, 30))
+        want = [c * scalar for c in s.coeffs]
+        for got in (s * scalar, scalar * s):
+            assert list(got.coeffs) == want
+            # integral coefficients are plain ints, so to_json never writes "3/1"
+            assert all(type(c) is int for c in got.coeffs if Fraction(c).denominator == 1)
+            assert not any(c.endswith("/1") for c in got.to_json()["coeffs"])
+
+
 def rational_product(a: Series, b: Series):
     """Coefficient-wise Fraction product of two aligned series."""
     order = min(a.order, b.order)
@@ -197,20 +226,37 @@ def rational_inverse(coeffs, order):
     return out
 
 
+def sparse_tail(rng, order):
+    """A tail of 2 to 5 nonzero terms below order; the inverse follows them."""
+    tail = [0] * order
+    for k in rng.sample(range(order), rng.randint(2, 5)):
+        tail[k] = rng.choice((rng.randint(-9, 9) or 1, Fraction(rng.randint(1, 9), 4)))
+    return tail
+
+
 @pytest.mark.parametrize("a0", [1, -1, 2, 3, -5, Fraction(3, 2)])
 def test_invert_matches_rational_recursion(a0):
     rng = random.Random(53)
-    for _ in range(10):
-        s = random_series(rng, 40)
-        s = Series([a0] + list(s.coeffs[1:]), 40)
+    tails = [list(random_series(rng, 40).coeffs[1:]) for _ in range(10)]
+    tails += [sparse_tail(rng, 40) for _ in range(10)]
+    tails += [list(pochhammer(1, scale, 40).coeffs[1:]) for scale in (1, 2)]
+    for tail in tails:
+        s = Series([a0] + tail, 40)
         got = s.invert()
         assert list(got.coeffs) == rational_inverse(s.coeffs, 40)
         assert all(type(c) is int for c in got.coeffs if Fraction(c).denominator == 1)
 
 
+fraction = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7))
+sparse_tails = st.builds(
+    lambda terms: [terms.get(k, 0) for k in range(1, 31)],
+    st.dictionaries(st.integers(1, 30), fraction, min_size=2, max_size=5),
+)
+
+
 @derandomized
 @given(st.sampled_from([1, -1, 2, 3, -5, Fraction(3, 2)]),
-       st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7)), max_size=30))
+       st.lists(fraction, max_size=30) | sparse_tails)
 def test_invert_matches_rational_recursion_hypothesis(a0, tail):
     s = Series([a0] + tail, len(tail))
     assert list(s.invert().coeffs) == rational_inverse(s.coeffs, s.order)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -196,11 +196,24 @@ def test_delta_inverse_pair():
     assert eta24 * qforms.delta_inv_times_q(order) == Series.one(order)
 
 
-def test_pochhammer_pentagonal():
-    # (q;q)oo = 1 - q - q^2 + q^5 + q^7 - q^12 - ... (pentagonal numbers)
-    p = qforms.pochhammer(1, 1, 14)
-    want = Series.from_terms({0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1}, 14)
-    assert p == want
+def finite_product(sign, scale, order):
+    """prod_{k>=1} (1 - sign q^(k*scale)) to order, one factor at a time."""
+    c = [1] + [0] * order
+    for s in range(scale, order + 1, scale):
+        for n in range(order, s - 1, -1):
+            c[n] -= sign * c[n - s]
+    return c
+
+
+# each order is a generalized pentagonal number k(3k-1)/2, so (q;q)oo has a
+# nonzero coefficient at the truncation order
+@pytest.mark.parametrize(
+    "sign, scale, order", list(product((1, -1), (1, 2, 3), (0, 1, 2, 5, 7, 12, 26, 70)))
+)
+def test_pochhammer_pentagonal(sign, scale, order):
+    got = qforms.pochhammer(sign, scale, order)
+    assert list(got.coeffs) == finite_product(sign, scale, order)
+    assert all(type(c) is int for c in got.coeffs)
 
 
 def test_legendre_fourth_power():
