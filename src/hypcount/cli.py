@@ -19,7 +19,7 @@ import os
 import sys
 
 from .errors import DomainError, HypcountError
-from . import counting, kummer, qforms, verify
+from . import SUITES, counting, kummer, qforms
 
 DEFAULT_ORDER = 32
 
@@ -32,6 +32,13 @@ DEFAULT_ORDER = 32
 # class count grows about 4x per genus (35,884 at g = 7).
 GENUS_MAX = 12
 GENUS_MAX_LISTED = 6
+
+# Largest truncation order.  `cache --action write` builds every named form;
+# in a fresh process on the same VM it took 0.32 s at order 1024, 0.86 s at
+# 2048, 3.2 s at 4096, 12 s at 8192 (31 MB) and 57 s at 16384 (56 MB),
+# about 4x per doubling.  Past the limit a command would run for minutes
+# instead of failing at once.
+ORDER_MAX = 8192
 
 
 def _canonical_json(data) -> str:
@@ -191,6 +198,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this command needs the check suites
+
     results, ok = verify.run_suite([args.suite], args.order)
     print(verify.format_results(results))
     return 0 if ok else 1
@@ -329,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity suites")
     p.add_argument(
         "--suite",
-        choices=verify.SUITES + ("all",),
+        choices=SUITES + ("all",),
         default="all",
     )
     p.add_argument("--order", type=int, default=None)
@@ -352,6 +361,8 @@ def main(argv=None) -> int:
             args.order = _env_order()
         if args.order < 0:
             raise DomainError("order must be >= 0")
+        if args.order > ORDER_MAX:
+            raise DomainError(f"order must be <= {ORDER_MAX}")
         return args.fn(args)
     except (DomainError, OSError) as exc:
         # bad input and unwritable paths alike: one line, usage exit code

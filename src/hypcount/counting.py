@@ -19,7 +19,7 @@ two is a strong end-to-end check of the whole calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .errors import DomainError
@@ -81,11 +81,8 @@ def _check_profile(config):
     return total
 
 
-@dataclass(frozen=True)
-class CountSeries:
-    config: tuple
-    coset: str | None
-    series: Series
+class CountSeries(namedtuple("CountSeries", "config coset series")):
+    __slots__ = ()
 
     @property
     def shape(self) -> str:
@@ -186,17 +183,12 @@ def gottsche_reconcile(order: int) -> bool:
     return a1.qderiv().qderiv() == want
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(namedtuple("CountReport", "genus order shapes total")):
     """Genus aggregate.  ``shapes`` maps each shape label to (number of
     translation-orbit classes of that shape, the shape's series); ``total``
     is the sum of multiplicity times series.  ``orbits`` lists the classes
-    one by one as ``kummer.Orbit`` and is enumerated on first access only."""
-
-    genus: int
-    order: int
-    shapes: dict
-    total: Series
+    one by one as ``kummer.Orbit`` and is enumerated on first access only
+    (no ``__slots__``, so the cached value has an instance dict to live in)."""
 
     @cached_property
     def orbits(self) -> tuple:

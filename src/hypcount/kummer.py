@@ -15,8 +15,7 @@ differ from one of the two reference sets eps0/eps1 by a Pi_3 element.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -227,11 +226,8 @@ def orbit_rep(config):
     return min(translate(config) for translate in _TRANSLATORS)
 
 
-@dataclass(frozen=True)
-class Orbit:
-    rep: tuple
-    size: int
-    coset: str
+class Orbit(namedtuple("Orbit", "rep size coset")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"rep": list(self.rep), "orbit_size": self.size, "coset": self.coset}

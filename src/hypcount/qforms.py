@@ -9,7 +9,7 @@ correctness never depends on the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -221,11 +221,8 @@ def theta2_fourth(order: int) -> Series:
 FORM_NAMES = ("A", "C", "E", "delta_inv", "legendre", "theta2_4", "E2")
 
 
-@dataclass(frozen=True)
-class NamedForm:
-    name: str
-    params: tuple
-    series: Series
+class NamedForm(namedtuple("NamedForm", "name params series")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         data = {"name": self.name, "params": list(self.params)}

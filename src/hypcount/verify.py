@@ -10,25 +10,15 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from importlib import resources
 from math import isqrt
 
 from .fps import Series
-from . import counting, kummer, numtheory, qforms, trig
+from . import SUITES, counting, kummer, numtheory, qforms, trig
 
-SUITES = ("fps", "qforms", "trig", "kummer", "counting")
-
-
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    source: str
-    ok: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "suite name source ok detail")
 
 
 def load_golden(name: str) -> dict:

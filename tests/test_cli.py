@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -70,6 +72,20 @@ def test_env_order_precedence(capsys, monkeypatch):
     # explicit flag beats the environment
     code, out, _ = run(capsys, "series", "--name", "A", "--k", "1", "--order", "2")
     assert code == 0 and out.strip() == "q + 3q^2"
+
+
+@pytest.mark.parametrize("order, message", [
+    (cli.ORDER_MAX + 1, f"error: order must be <= {cli.ORDER_MAX}\n"),
+    (-1, "error: order must be >= 0\n"),
+])
+def test_order_out_of_range_is_usage_error(capsys, monkeypatch, tmp_path, order, message):
+    # rejected before any series is built, from the flag and the environment alike
+    for argv in (["verify", "--order", str(order)], ["series", "--name", "E", "--order", str(order)]):
+        assert run(capsys, *argv) == (2, "", message)
+    monkeypatch.setenv("HYPCOUNT_ORDER", str(order))
+    forms = tmp_path / "forms"
+    assert run(capsys, "cache", "--action", "write", "--dir", str(forms)) == (2, "", message)
+    assert not forms.exists()
 
 
 # stdout digests of the README's command-line examples: refactors must keep
@@ -316,6 +332,34 @@ def test_verify_output_is_deterministic(capsys):
     code, second, _ = run(capsys, "verify", "--suite", "fps", "--order", "16")
     assert code == 0
     assert first == second
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_python(*argv):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_import_leaves_out_dataclasses_and_verify():
+    # process start bounds the short commands: the records are namedtuples,
+    # and verify loads only when its command runs
+    probe = (
+        "import sys, hypcount.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'hypcount.verify'} & set(sys.modules)))"
+    )
+    done = fresh_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    done = fresh_python("-m", "hypcount.cli", "verify", "--suite", "fps", "--order", "16")
+    assert done.returncode == 0, done.stdout + done.stderr
+    last = done.stdout.splitlines()[-1]
+    passed, total = last.split()[0].split("/")
+    assert passed == total and int(total) > 0
 
 
 # -- cache ------------------------------------------------------------------

@@ -401,3 +401,50 @@ def test_getitem_rejects_phantom_tail():
 def test_format_rendering():
     assert S(1, -1, 0, Fraction(1, 2), order=3).format() == "1 - q + 1/2q^3"
     assert Series.zero(3).format() == "0"
+
+
+# -- ring and derivation laws (hypothesis) -------------------------------------
+
+mixed = coefficient | fraction
+
+
+@st.composite
+def series_triples(draw, max_order=16, zero_constant=0):
+    """Three series of one order over mixed int/Fraction coefficients, each
+    dense or with a few nonzero terms; the last ``zero_constant`` of them
+    have constant term 0."""
+    order = draw(st.integers(0, max_order))
+
+    def one(low):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(mixed, min_size=order + 1, max_size=order + 1))
+        else:
+            terms = draw(st.dictionaries(st.integers(0, order), mixed, max_size=4))
+            coeffs = [terms.get(k, 0) for k in range(order + 1)]
+        return Series([0] * low + coeffs[low:], order)
+
+    return tuple(one(int(i >= 3 - zero_constant)) for i in range(3))
+
+
+@derandomized
+@given(series_triples())
+def test_ring_axioms_hypothesis(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+
+
+@derandomized
+@given(series_triples())
+def test_qderiv_product_rule_hypothesis(abc):
+    a, b, _ = abc
+    assert (a * b).qderiv() == a.qderiv() * b + a * b.qderiv()
+
+
+@derandomized
+@given(series_triples(max_order=10, zero_constant=2))
+def test_substitute_nesting_hypothesis(fgh):
+    f, g, h = fgh
+    assert f.substitute(g).substitute(h) == f.substitute(g.substitute(h))
