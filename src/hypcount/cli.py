@@ -4,8 +4,8 @@ Subcommands: series (named q-series), fgk (one multiplicity profile),
 genus (aggregated count report), orbits (translation-orbit table), verify
 (identity suites), cache (named-form JSON store).  Exit codes: 0 success,
 1 verification failure, 2 usage error or a file that cannot be read or
-written; main() is the one place that turns these errors into an
-``error: <msg>`` line.
+written.  Each cmd_* returns (text, exit code); main() alone writes the
+text, to --out or stdout, and turns errors into an ``error: <msg>`` line.
 
 Configuration precedence is flags > environment > defaults; the recognized
 environment variables are HYPCOUNT_ORDER and HYPCOUNT_CACHE_DIR.
@@ -29,7 +29,9 @@ DEFAULT_ORDER = 32
 # Python 3.11, growing about 1.5x per genus (2.1 s at g = 16).  JSON lists
 # every orbit class by enumeration: `genus --g 6 --format json` takes 1.0 s
 # end to end (translation_orbits(14): 0.19-0.28 s, 9,116 classes), and the
-# class count grows about 4x per genus (35,884 at g = 7).
+# class count grows about 4x per genus (35,884 at g = 7).  GENUS_MAX_LISTED
+# bounds both listings: `orbits` takes degrees up to 2 * 6 + 2 = 14, where
+# degree 16 took 2.0 s and 112 MB and degree 18 7.8 s and 350 MB.
 GENUS_MAX = 12
 GENUS_MAX_LISTED = 6
 
@@ -55,18 +57,6 @@ def _env_order() -> int:
         raise DomainError(f"HYPCOUNT_ORDER must be an integer, got {raw!r}")
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _series_text(series, var="q") -> str:
-    return series.format(var=var) + "\n"
-
-
 def _series_csv(series, var="q") -> str:
     lines = [f"{var}^n,coefficient"]
     from .fps import _rat_str
@@ -76,15 +66,13 @@ def _series_csv(series, var="q") -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> tuple:
     form = qforms.named_form(args.name, k=args.k, order=args.order)
     if args.format == "json":
-        _emit(_canonical_json(form.to_json()), args.out)
-    elif args.format == "csv":
-        _emit(_series_csv(form.series), args.out)
-    else:
-        _emit(_series_text(form.series), args.out)
-    return 0
+        return _canonical_json(form.to_json()), 0
+    if args.format == "csv":
+        return _series_csv(form.series), 0
+    return form.series.format() + "\n", 0
 
 
 def _parse_profile(raw: str):
@@ -97,15 +85,13 @@ def _parse_profile(raw: str):
     return values
 
 
-def cmd_fgk(args) -> int:
+def cmd_fgk(args) -> tuple:
     config = _parse_profile(args.config)
     result = counting.f_gk(config, args.order)
     if args.format == "json":
-        _emit(_canonical_json(result.to_json()), args.out)
-        return 0
+        return _canonical_json(result.to_json()), 0
     if args.format == "csv":
-        _emit(_series_csv(result.series, var="u"), args.out)
-        return 0
+        return _series_csv(result.series, var="u"), 0
     lines = [
         f"profile : {','.join(str(v) for v in config)}",
         f"total   : {sum(config)} (geometric genus {(sum(config) - 2) // 2})",
@@ -119,8 +105,7 @@ def cmd_fgk(args) -> int:
     for n, c in enumerate(result.series.coeffs):
         if c:
             lines.append(f"   {n:<9} {n + 1:<5} {c}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def _table_cells(report, mult_title: str) -> list:
@@ -131,10 +116,6 @@ def _table_cells(report, mult_title: str) -> list:
         [shape, "" if mult is None else str(mult)] + [str(c) if c else "" for c in coeffs]
         for shape, mult, coeffs in report.table_rows()
     ]
-
-
-def _report_table_csv(report) -> str:
-    return "\n".join(",".join(row) for row in _table_cells(report, "multiplicity")) + "\n"
 
 
 def _report_table_text(report) -> str:
@@ -149,43 +130,43 @@ def _report_table_text(report) -> str:
     return "\n".join([line(header)] + [line(row) for row in cells]) + "\n"
 
 
-def cmd_genus(args) -> int:
+def cmd_genus(args) -> tuple:
     if args.format == "json" and not 1 <= args.g <= GENUS_MAX_LISTED:
         raise DomainError(f"genus must be between 1 and {GENUS_MAX_LISTED} with --format json")
     if not 1 <= args.g <= GENUS_MAX:
         raise DomainError(f"genus must be between 1 and {GENUS_MAX}")
     report = counting.genus_total(args.g, args.order)
     if args.format == "json":
-        _emit(_canonical_json(report.to_json()), args.out)
-    elif args.format == "csv":
-        _emit(_report_table_csv(report), args.out)
-    elif args.table:
-        _emit(_report_table_text(report), args.out)
-    else:
-        lines = [
-            f"genus {args.g}: {sum(report.shape_multiplicities().values())} orbit classes, "
-            f"degree {2 * args.g + 2}, order {args.order}",
-        ]
-        for shape, mult in sorted(report.shape_multiplicities().items()):
-            lines.append(f"  {mult} x {shape}")
-        lines.append(f"total: {report.total.format(var='u')}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _canonical_json(report.to_json()), 0
+    if args.format == "csv":
+        cells = _table_cells(report, "multiplicity")
+        return "\n".join(",".join(row) for row in cells) + "\n", 0
+    if args.table:
+        return _report_table_text(report), 0
+    lines = [
+        f"genus {args.g}: {sum(report.shape_multiplicities().values())} orbit classes, "
+        f"degree {2 * args.g + 2}, order {args.order}",
+    ]
+    for shape, mult in sorted(report.shape_multiplicities().items()):
+        lines.append(f"  {mult} x {shape}")
+    lines.append(f"total: {report.total.format(var='u')}")
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_orbits(args) -> int:
+def cmd_orbits(args) -> tuple:
+    if args.degree > 2 * GENUS_MAX_LISTED + 2:
+        raise DomainError(f"degree must be <= {2 * GENUS_MAX_LISTED + 2}")
     payload = [
         {**o.to_json(), "shape": counting.shape_label(o.rep)}
         for o in kummer.translation_orbits(args.degree)
     ]
     if args.format == "json":
-        _emit(_canonical_json(payload), args.out)
-    elif args.format == "csv":
+        return _canonical_json(payload), 0
+    if args.format == "csv":
         lines = ["rep,orbit_size,coset,shape"]
         for row in payload:
             rep = " ".join(str(v) for v in row["rep"])
             lines.append(f"{rep},{row['orbit_size']},{row['coset']},{row['shape']}")
-        _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"degree {args.degree}: {len(payload)} orbit classes"]
         for row in payload:
@@ -193,16 +174,14 @@ def cmd_orbits(args) -> int:
             lines.append(
                 f"  [{rep}] size {row['orbit_size']:>2} {row['coset']:<5} {row['shape']}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     from . import verify  # only this command needs the check suites
 
     results, ok = verify.run_suite([args.suite], args.order)
-    print(verify.format_results(results))
-    return 0 if ok else 1
+    return verify.format_results(results) + "\n", 0 if ok else 1
 
 
 CACHE_ROSTER = (
@@ -228,8 +207,8 @@ def _load_cached(stored: str):
     if not (isinstance(params, list) and len(params) <= 1
             and all(type(p) is int for p in params)):
         raise ValueError("params must be a list of at most one integer")
-    if type(order) is not int or order < 0:
-        raise ValueError("order must be a nonnegative integer")
+    if type(order) is not int or not 0 <= order <= ORDER_MAX:
+        raise ValueError(f"order must be an integer between 0 and {ORDER_MAX}")
     if not isinstance(data["coeffs"], list):
         raise ValueError("coeffs must be a list")
     try:
@@ -241,7 +220,7 @@ def _load_cached(stored: str):
     return data, form
 
 
-def cmd_cache(args) -> int:
+def cmd_cache(args) -> tuple:
     cache_dir = args.dir or os.environ.get("HYPCOUNT_CACHE_DIR")
     if not cache_dir:
         raise DomainError("cache needs --dir or HYPCOUNT_CACHE_DIR")
@@ -252,35 +231,27 @@ def cmd_cache(args) -> int:
             path = os.path.join(cache_dir, form.key() + ".json")
             with open(path, "w") as fh:
                 fh.write(_canonical_json(form.to_json()))
-        print(f"wrote {len(CACHE_ROSTER)} forms to {cache_dir}")
-        return 0
+        return f"wrote {len(CACHE_ROSTER)} forms to {cache_dir}\n", 0
     if args.action == "clear":
         if os.path.isdir(cache_dir):
             for entry in os.listdir(cache_dir):
                 if entry.endswith(".json"):
                     os.remove(os.path.join(cache_dir, entry))
-        print(f"cleared {cache_dir}")
-        return 0
+        return f"cleared {cache_dir}\n", 0
     if not os.path.isdir(cache_dir):
         raise DomainError(f"no such directory {cache_dir}")
-    failures = 0
-    checked = 0
-    for entry in sorted(os.listdir(cache_dir)):
-        if not entry.endswith(".json"):
-            continue
-        path = os.path.join(cache_dir, entry)
-        with open(path) as fh:
-            stored = fh.read()
-        checked += 1
+    entries = sorted(e for e in os.listdir(cache_dir) if e.endswith(".json"))
+    lines = []
+    for entry in entries:
         try:
+            with open(os.path.join(cache_dir, entry)) as fh:
+                stored = fh.read()  # a UnicodeDecodeError is a ValueError
             data, form = _load_cached(stored)
         except ValueError as exc:
-            failures += 1
-            print(f"INVALID {entry}: {exc}")
+            lines.append(f"INVALID {entry}: {exc}")
             continue
         fresh = _canonical_json(form.to_json())
         if fresh != stored:
-            failures += 1
             stored_coeffs = data["coeffs"]
             fresh_coeffs = form.to_json()["coeffs"]
             delta = next(
@@ -289,11 +260,14 @@ def cmd_cache(args) -> int:
                     for i, (s, f) in enumerate(zip(stored_coeffs, fresh_coeffs))
                     if s != f
                 ),
-                "byte-level difference outside the coefficients",
+                f"stored {len(stored_coeffs)} coefficients, recomputed {len(fresh_coeffs)}"
+                if len(stored_coeffs) != len(fresh_coeffs)
+                else "byte-level difference outside the coefficients",
             )
-            print(f"MISMATCH {entry}: {delta}")
-    print(f"checked {checked} cached forms, {failures} mismatched")
-    return 1 if failures else 0
+            lines.append(f"MISMATCH {entry}: {delta}")
+    failures = len(lines)
+    lines.append(f"checked {len(entries)} cached forms, {failures} mismatched")
+    return "\n".join(lines) + "\n", 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +337,13 @@ def main(argv=None) -> int:
             raise DomainError("order must be >= 0")
         if args.order > ORDER_MAX:
             raise DomainError(f"order must be <= {ORDER_MAX}")
-        return args.fn(args)
+        text, code = args.fn(args)
+        if getattr(args, "out", None):
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (DomainError, OSError) as exc:
         # bad input and unwritable paths alike: one line, usage exit code
         print(f"error: {exc}", file=sys.stderr)

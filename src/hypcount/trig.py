@@ -23,51 +23,28 @@ from . import qforms
 # ---------------------------------------------------------------------------
 
 
-class ChebPoly:
-    """T_n in the monomial basis; coeffs[i] is the x^i coefficient."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChebPoly is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, ChebPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"ChebPoly(T_{self.n})"
-
-
 @lru_cache(maxsize=None)
-def chebyshev(n: int) -> ChebPoly:
-    """T_n by the recurrence T_n = 2x T_(n-1) - T_(n-2)."""
+def chebyshev(n: int) -> tuple:
+    """T_n by T_n = 2x T_(n-1) - T_(n-2); entry i is the x^i coefficient."""
     if n < 0:
         raise DomainError("Chebyshev index must be >= 0")
     if n == 0:
-        return ChebPoly(0, (1,))
+        return (1,)
     if n == 1:
-        return ChebPoly(1, (0, 1))
-    a = chebyshev(n - 1).coeffs
-    b = chebyshev(n - 2).coeffs
+        return (0, 1)
     coeffs = [0] * (n + 1)
-    for i, c in enumerate(a):
+    for i, c in enumerate(chebyshev(n - 1)):
         coeffs[i + 1] += 2 * c
-    for i, c in enumerate(b):
+    for i, c in enumerate(chebyshev(n - 2)):
         coeffs[i] -= c
-    return ChebPoly(n, coeffs)
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
 def cheb_half_doubled(n: int) -> tuple:
     """Integer coefficients of 2 T_n(x/2) (these are always integral)."""
     out = []
-    for i, c in enumerate(chebyshev(n).coeffs):
+    for i, c in enumerate(chebyshev(n)):
         num = 2 * c
         if num % (1 << i):
             raise DomainError("2 T_n(x/2) failed integrality")
@@ -79,9 +56,9 @@ def cheb_even_identity_exact(n: int) -> bool:
     """T_n(1 - 2x^2) == (-1)^n T_(2n)(x) as an exact polynomial identity."""
     inner = Series([1, 0, -2], 2 * n)  # 1 - 2x^2
     power, composed = Series.one(2 * n), Series.zero(2 * n)
-    for c in chebyshev(n).coeffs:
+    for c in chebyshev(n):
         composed, power = composed + power * c, power * inner
-    return composed == Series(chebyshev(2 * n).coeffs, 2 * n) * (-1) ** n
+    return composed == Series(chebyshev(2 * n), 2 * n) * (-1) ** n
 
 
 # ---------------------------------------------------------------------------

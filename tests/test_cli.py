@@ -101,8 +101,30 @@ README_PINS = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", README_PINS, ids=[p[0] for p in README_PINS])
-def test_readme_example_stdout_is_pinned(capsys, argv, digest):
+# stdout digests of the other text, csv and json layouts, which all pass
+# through the one write in cli.main
+LAYOUT_PINS = [
+    ("series --name A --k 2 --order 10 --format json", "0e144287aaa97e19d056f886ea7d816613360876795df7e3b6e539a4bdc35e77"),
+    ("series --name delta_inv --order 8 --format csv", "d5a7fd04b8822e3b1bbdc9a0ecd270df0132c55eabfebaeda8dcef865812ea58"),
+    ("fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --order 12 --format json", "01338a4d061e40eed1842f5e0f426dc2c1fb7ebf7844efa12d9d4ec33bc87aaa"),
+    ("fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --order 12 --format csv", "ccadbb7e8c9589851a43d623ab0143b86315189cb2920219ceedf843caf580ea"),
+    ("fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --order 12", "f0e1e7f05a9ba61fc7b36e0aecd3641b9cd8bfc60e0af2a3fe6677a0a0a575a6"),
+    ("fgk --config 1,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0 --order 12 --format json", "975619bae40bdc214389b4fe15fc6af467d25ac1444e089c2fa0771c9da87974"),
+    ("fgk --config 1,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0 --order 12 --format csv", "48f97dd82bdb71327901000f85184ab325d39126922c1bbd960d4a3cf00f3ec1"),
+    ("fgk --config 1,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0 --order 12", "b03e43f85c85bb31ef99e48b8e555f635eb9b26cb3d702a81fc60a5d2345dede"),
+    ("genus --g 3 --order 12", "73a2dae0d9edf7c1ff8ab109ffd507999d70543f26b773d3e6fec78d5ad1836b"),
+    ("genus --g 3 --order 12 --format csv", "df75afdd1960768b2ecad564810227bf4237d2561c3e830d10ce0e88735358b3"),
+    ("genus --g 5 --table", "de9963571181ca6c9d9cfc9f01df877d14e2176c214a2bd51834eb4d3fc4e688"),
+    ("orbits --degree 6", "8efdde472ad2a5399f7cf10f4a7f4b6a1a879cb211627becd71b22d7af5d1bfe"),
+    ("orbits --degree 6 --format csv", "0652502822b965facff8399716967c4eed5385fd662af9ac44edb6b3968fa855"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", README_PINS + LAYOUT_PINS, ids=[p[0] for p in README_PINS + LAYOUT_PINS]
+)
+def test_readme_example_stdout_is_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("HYPCOUNT_ORDER", raising=False)  # `genus --g 5 --table` uses the default
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -287,6 +309,13 @@ def test_orbits_bad_degree(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("degree", ["16", "40"])
+def test_orbits_degree_past_listing_limit_is_usage_error(capsys, degree):
+    # rejected before enumerating: degree 40 once ran until killed, and
+    # degree 16 took 2 s and 112 MB
+    assert run(capsys, "orbits", "--degree", degree) == (2, "", "error: degree must be <= 14\n")
+
+
 # -- verify -----------------------------------------------------------------
 
 
@@ -414,19 +443,50 @@ def test_cache_write_is_byte_stable(capsys, tmp_path):
         ('{"name": "A", "params": [1], "coeffs": []}', "missing key 'order'"),
         ('{"name": "A", "params": [1], "order": "8", "coeffs": []}', "order must be"),
         ('{"name": "nope", "params": [], "order": 8, "coeffs": []}', "unknown form"),
+        # rejected before the form is built, which once hung the check
+        ('{"name": "E", "params": [], "order": 100000000, "coeffs": []}', "order must be"),
+        (b"\xff\xfe{", "'utf-8' codec can't decode"),
     ],
 )
 def test_cache_check_reports_invalid_files(capsys, tmp_path, text, reason):
     cache = str(tmp_path / "forms")
     run(capsys, "cache", "--action", "write", "--dir", cache, "--order", "8")
-    with open(os.path.join(cache, "zz_bad.json"), "w") as fh:
-        fh.write(text)
+    with open(os.path.join(cache, "zz_bad.json"), "wb") as fh:
+        fh.write(text if isinstance(text, bytes) else text.encode())
     code, out, err = run(capsys, "cache", "--action", "check", "--dir", cache)
     assert code == 1
     assert err == ""
     invalid, summary = out.splitlines()
     assert invalid.startswith(f"INVALID zz_bad.json: {reason}")
     assert summary == "checked 18 cached forms, 1 mismatched"
+
+
+def test_cache_check_reports_coefficient_count_mismatch(capsys, tmp_path):
+    cache = tmp_path / "forms"
+    run(capsys, "cache", "--action", "write", "--dir", str(cache), "--order", "8")
+    path = cache / "E_o8.json"
+    data = json.loads(path.read_text())
+    data["coeffs"] = data["coeffs"][:5]
+    path.write_text(json.dumps(data, sort_keys=True, indent=2))
+    code, out, _ = run(capsys, "cache", "--action", "check", "--dir", str(cache))
+    assert code == 1
+    assert out.splitlines() == [
+        "MISMATCH E_o8.json: stored 5 coefficients, recomputed 9",
+        "checked 17 cached forms, 1 mismatched",
+    ]
+
+
+def test_cache_check_unreadable_entry_is_one_line_error(capsys, tmp_path):
+    # stdout is written once the command finishes: a read error after an
+    # INVALID entry leaves only the error line
+    cache = tmp_path / "forms"
+    cache.mkdir()
+    (cache / "aa_bad.json").write_text("{not json")
+    (cache / "zz_dir.json").mkdir()
+    code, out, err = run(capsys, "cache", "--action", "check", "--dir", str(cache))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_cache_env_dir(capsys, tmp_path, monkeypatch):

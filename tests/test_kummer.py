@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -261,3 +262,33 @@ def test_burnside_rejects_indivisible_sum(monkeypatch):
     )
     with pytest.raises(HypcountError, match="not divisible by 16"):
         kummer.orbit_counts_by_type(4)
+
+
+# Burnside/Polya closed form of the total class count (translation group
+# (Z/2)^4 acting regularly on the 16 points).  SUPPORTS[s] is the number of
+# admissible odd supports P of size s; FIXING[s] sums, over those P, the
+# translations t != 0 with P + t = P.  The identity fixes every spread of
+# the (d - s)/2 even excess pairs over 16 points; such a t fixes a profile
+# only if it is constant on t's 8 two-point orbits, so (d - s)/4 excess
+# quadruples go over 8 orbits.
+SUPPORTS = {4: 4, 6: 16, 8: 24, 10: 16, 12: 4}
+FIXING = {4: 12, 8: 24, 12: 12}
+CLASS_COUNTS = {4: 1, 6: 5, 8: 59, 10: 365, 12: 2045, 14: 9116, 16: 35884, 18: 124236, 20: 391446}
+
+
+def closed_form_class_count(d):
+    fixed = sum(n * comb((d - s) // 2 + 15, 15) for s, n in SUPPORTS.items() if s <= d)
+    fixed += sum(
+        n * comb((d - s) // 4 + 7, 7) for s, n in FIXING.items() if s <= d and (d - s) % 4 == 0
+    )
+    assert fixed % 16 == 0
+    return fixed // 16
+
+
+@pytest.mark.parametrize("degree", range(4, 27, 2))
+def test_class_count_matches_closed_form(degree):
+    # past degree 12 no enumeration test reaches the Burnside walk; a
+    # support-size slip there first shows at degree 22
+    count = sum(kummer.orbit_counts_by_type(degree).values())
+    assert count == closed_form_class_count(degree)
+    assert count == CLASS_COUNTS.get(degree, count)
