@@ -209,8 +209,9 @@ def _load_cached(stored: str):
         raise ValueError("params must be a list of at most one integer")
     if type(order) is not int or not 0 <= order <= ORDER_MAX:
         raise ValueError(f"order must be an integer between 0 and {ORDER_MAX}")
-    if not isinstance(data["coeffs"], list):
-        raise ValueError("coeffs must be a list")
+    coeffs = data["coeffs"]
+    if not (isinstance(coeffs, list) and all(type(c) is str for c in coeffs)):
+        raise ValueError("coeffs must be a list of strings")
     try:
         form = qforms.named_form(
             data["name"], k=params[0] if params else None, order=order
@@ -237,6 +238,8 @@ def cmd_cache(args) -> tuple:
             for entry in os.listdir(cache_dir):
                 if entry.endswith(".json"):
                     os.remove(os.path.join(cache_dir, entry))
+        elif os.path.exists(cache_dir):
+            raise DomainError(f"not a directory {cache_dir}")
         return f"cleared {cache_dir}\n", 0
     if not os.path.isdir(cache_dir):
         raise DomainError(f"no such directory {cache_dir}")

@@ -153,19 +153,10 @@ def basis_vector(v: int) -> tuple:
     return tuple(2 if u == v else 0 for u in POINTS)
 
 
-def reduction(w) -> int:
-    """Odd-numerator support of a half-lattice vector, as a subset mask."""
-    m = 0
-    for v, a in enumerate(w):
-        if a % 2:
-            m |= 1 << v
-    return m
-
-
 def kummer_member(w) -> bool:
     """A half-integer combination of the E_v lies in the primitive lattice
     iff its odd-numerator support is in Pi_3."""
-    return in_Pi3(reduction(w))
+    return in_Pi3(odd_support(w))
 
 
 def pairing(w1, w2):
@@ -206,6 +197,8 @@ def coset_members(which: str) -> tuple:
 
 
 def odd_support(config) -> int:
+    """Odd-entry support of a profile, or odd-numerator support of a
+    half-lattice vector, as a subset mask."""
     m = 0
     for v, kv in enumerate(config):
         if kv % 2:

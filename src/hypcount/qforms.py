@@ -245,6 +245,8 @@ def named_form(name: str, k: int | None = None, order: int = 32) -> NamedForm:
         if k is None or k < 0:
             raise DomainError("form C requires k >= 0")
         return NamedForm("C", (k,), macmahon_C(k, order))
+    if k is not None and name in FORM_NAMES:
+        raise DomainError(f"form {name} takes no index")
     if name == "E":
         return NamedForm("E", (), series_E(order))
     if name == "delta_inv":

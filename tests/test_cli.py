@@ -44,6 +44,12 @@ def test_series_unknown_name_is_usage_error(capsys):
     assert "unknown form" in err
 
 
+@pytest.mark.parametrize("name", ["E", "delta_inv"])
+def test_series_index_on_unindexed_form_is_usage_error(capsys, name):
+    code, out, err = run(capsys, "series", "--name", name, "--k", "3", "--order", "4")
+    assert (code, out, err) == (2, "", f"error: form {name} takes no index\n")
+
+
 @pytest.mark.parametrize("name", ["A", "C"])
 def test_series_deep_index_past_order_is_zero(capsys, name):
     code, out, _ = run(capsys, "series", "--name", name, "--k", "1000", "--order", "4")
@@ -391,6 +397,23 @@ def test_cli_import_leaves_out_dataclasses_and_verify():
     assert passed == total and int(total) > 0
 
 
+@pytest.mark.parametrize(
+    "module",
+    ["errors", "fps", "numtheory", "qforms", "trig", "kummer", "counting", "verify", "cli"],
+)
+def test_package_root_is_only_suites_and_each_module_imports_alone(module):
+    # every name is reached through its submodule; a fresh child per module
+    # shows no import-order cycle that eager root imports could hide
+    probe = (
+        "import hypcount; "
+        "print([n for n in vars(hypcount) if not n.startswith('_')]); "
+        f"import hypcount.{module}"
+    )
+    done = fresh_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['SUITES']\n"
+
+
 # -- cache ------------------------------------------------------------------
 
 
@@ -446,6 +469,8 @@ def test_cache_write_is_byte_stable(capsys, tmp_path):
         # rejected before the form is built, which once hung the check
         ('{"name": "E", "params": [], "order": 100000000, "coeffs": []}', "order must be"),
         (b"\xff\xfe{", "'utf-8' codec can't decode"),
+        ('{"name": "E", "params": [3], "order": 8, "coeffs": []}', "form E takes no index"),
+        ('{"name": "E", "params": [], "order": 8, "coeffs": [0]}', "coeffs must be a list of strings"),
     ],
 )
 def test_cache_check_reports_invalid_files(capsys, tmp_path, text, reason):
@@ -487,6 +512,14 @@ def test_cache_check_unreadable_entry_is_one_line_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_cache_clear_on_regular_file_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "forms"
+    target.write_text("kept")
+    code, out, err = run(capsys, "cache", "--action", "clear", "--dir", str(target))
+    assert (code, out, err) == (2, "", f"error: not a directory {target}\n")
+    assert target.read_text() == "kept"
 
 
 def test_cache_env_dir(capsys, tmp_path, monkeypatch):

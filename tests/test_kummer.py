@@ -61,7 +61,7 @@ def test_pi3_sizes():
 
 
 def test_kummer_member_examples():
-    assert kummer.kummer_member(kummer.basis_vector(3))  # reduction empty
+    assert kummer.kummer_member(kummer.basis_vector(3))  # odd support empty
     plane = kummer.affine_threeplanes()[0]
     assert kummer.kummer_member(kummer.subset_hat(plane))
     assert not kummer.kummer_member(kummer.subset_hat(kummer.mask_from_points((0, 4))))
