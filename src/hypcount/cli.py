@@ -225,6 +225,8 @@ def cmd_cache(args) -> tuple:
     cache_dir = args.dir or os.environ.get("HYPCOUNT_CACHE_DIR")
     if not cache_dir:
         raise DomainError("cache needs --dir or HYPCOUNT_CACHE_DIR")
+    if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+        raise DomainError(f"not a directory {cache_dir}")
     if args.action == "write":
         os.makedirs(cache_dir, exist_ok=True)
         for name, k in CACHE_ROSTER:
@@ -238,8 +240,6 @@ def cmd_cache(args) -> tuple:
             for entry in os.listdir(cache_dir):
                 if entry.endswith(".json"):
                     os.remove(os.path.join(cache_dir, entry))
-        elif os.path.exists(cache_dir):
-            raise DomainError(f"not a directory {cache_dir}")
         return f"cleared {cache_dir}\n", 0
     if not os.path.isdir(cache_dir):
         raise DomainError(f"no such directory {cache_dir}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 from operator import attrgetter, itemgetter
 
@@ -44,7 +45,7 @@ def points_of_mask(mask: int):
 
 
 def mask_size(mask: int) -> int:
-    return bin(mask & FULL_MASK).count("1")
+    return (mask & FULL_MASK).bit_count()
 
 
 def translate_mask(mask: int, t: int) -> int:
@@ -61,39 +62,40 @@ def translate_mask(mask: int, t: int) -> int:
 
 
 def is_affine_plane(mask: int, k: int) -> bool:
-    """True iff the subset is an affine k-plane: size 2^k and closed under
-    the affine combination x + y + z."""
+    """True iff S is an affine k-plane: |S| = 2^k and S + x0 is a subspace
+    for its least point x0, i.e. x0 + y + z lies in S for all y, z in S."""
     if not 0 <= k <= 4:
         raise DomainError("plane dimension must be 0..4")
     pts = points_of_mask(mask)
     if len(pts) != 1 << k:
         return False
-    member = [bool(mask >> v & 1) for v in range(16)]
-    for x in pts:
-        for y in pts:
-            for z in pts:
-                if not member[x ^ y ^ z]:
-                    return False
+    x0 = pts[0]
+    for y in pts:
+        for z in pts:
+            if not mask >> (x0 ^ y ^ z) & 1:
+                return False
     return True
+
+
+# _HALVES[i] = {x : x_i = 1}, the support of the linear functional x -> x_i
+_HALVES = tuple(sum(1 << x for x in POINTS if x >> i & 1) for i in range(4))
 
 
 def in_Pi3(mask: int) -> bool:
     """Membership in Pi_3 by the affine-indicator criterion: the indicator
     of the subset must be an affine functional on F_2^4.
 
-    Equivalent form used here: 1_S(x) + 1_S(y) + 1_S(0) + 1_S(x+y) = 0 for
-    all x, y (the three-point form follows by affineness), which costs 16^2
-    bit tests instead of 16^3.
+    Then lin(x) = 1_S(x) + 1_S(0) is linear, so its support is the XOR of
+    the half-masks of the basis points 1, 2, 4 and 8 that lie in it; the
+    test compares lin with that XOR.
     """
     mask &= FULL_MASK
-    base = mask & 1  # 1_S(0)
-    bits = [(mask >> v & 1) ^ base for v in range(16)]
-    for x in range(16):
-        bx = bits[x]
-        for y in range(x, 16):
-            if bits[x ^ y] != bx ^ bits[y]:
-                return False
-    return True
+    lin = mask ^ (-(mask & 1) & FULL_MASK)
+    span = 0
+    for i, half in enumerate(_HALVES):
+        if lin >> (1 << i) & 1:
+            span ^= half
+    return lin == span
 
 
 def affine_threeplanes() -> list:
@@ -103,7 +105,7 @@ def affine_threeplanes() -> list:
         for a in (0, 1):
             m = 0
             for v in POINTS:
-                if bin(f & v).count("1") % 2 == a:
+                if (f & v).bit_count() % 2 == a:
                     m |= 1 << v
             planes.append(m)
     return planes
@@ -227,12 +229,17 @@ class Orbit(namedtuple("Orbit", "rep size coset")):
 
 
 def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, slots - 1):
-            yield (head,) + tail
+    """Compositions of total into `slots` parts >= 0, in lexicographic
+    order: stars and bars, slots - 1 bars among total + slots - 1 places."""
+    end = total + slots - 1
+    for bars in combinations(range(end), slots - 1):
+        prev = -1
+        parts = []
+        for bar in bars:
+            parts.append(bar - prev - 1)
+            prev = bar
+        parts.append(end - prev - 1)
+        yield tuple(parts)
 
 
 def _check_degree(degree: int) -> None:

@@ -13,6 +13,7 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations_with_replacement
 from math import isqrt
 
 from .fps import Series
@@ -382,24 +383,15 @@ def check_coset_structure(order, rng):
 def check_orbit_partition(order, rng):
     by_degree = {}
     for degree in (4, 6):
-        # independent recount: scan every profile of the given total
+        # independent recount: a profile of total d is a multiset of d
+        # points, and its odd support is the XOR of 1 << v over them
         admissible = 0
-        slots = 16
-
-        def scan(v, remaining, profile):
-            nonlocal admissible
-            if v == slots - 1:
-                profile.append(remaining)
-                if kummer.admissible(kummer.odd_support(profile)):
-                    admissible += 1
-                profile.pop()
-                return
-            for kv in range(remaining + 1):
-                profile.append(kv)
-                scan(v + 1, remaining - kv, profile)
-                profile.pop()
-
-        scan(0, degree, [])
+        for points in combinations_with_replacement(range(16), degree):
+            support = 0
+            for v in points:
+                support ^= 1 << v
+            if kummer.admissible(support):
+                admissible += 1
         orbits = by_degree[degree] = kummer.translation_orbits(degree)
         total = sum(o.size for o in orbits)
         if total != admissible:

@@ -514,12 +514,25 @@ def test_cache_check_unreadable_entry_is_one_line_error(capsys, tmp_path):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-def test_cache_clear_on_regular_file_is_usage_error(capsys, tmp_path):
+@pytest.mark.parametrize("action", ["clear", "write", "check"])
+def test_cache_clear_on_regular_file_is_usage_error(capsys, tmp_path, action):
+    # every action words an existing non-directory path the same way
     target = tmp_path / "forms"
     target.write_text("kept")
-    code, out, err = run(capsys, "cache", "--action", "clear", "--dir", str(target))
+    code, out, err = run(capsys, "cache", "--action", action, "--dir", str(target))
     assert (code, out, err) == (2, "", f"error: not a directory {target}\n")
     assert target.read_text() == "kept"
+
+
+def test_cache_on_missing_dir(capsys, tmp_path):
+    target = tmp_path / "absent"
+    code, out, err = run(capsys, "cache", "--action", "check", "--dir", str(target))
+    assert (code, out, err) == (2, "", f"error: no such directory {target}\n")
+    code, out, err = run(capsys, "cache", "--action", "clear", "--dir", str(target))
+    assert (code, out, err) == (0, f"cleared {target}\n", "")
+    assert not target.exists()
+    code, _, _ = run(capsys, "cache", "--action", "write", "--dir", str(target), "--order", "6")
+    assert code == 0 and target.is_dir()
 
 
 def test_cache_env_dir(capsys, tmp_path, monkeypatch):

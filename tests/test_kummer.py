@@ -35,6 +35,33 @@ def test_threeplane_count():
     assert all(kummer.is_affine_plane(p, 3) for p in planes)
 
 
+def _affine_plane_oracle(mask, k):
+    # the three-point definition: size 2^k and x + y + z in S for all x, y, z in S
+    pts = [v for v in range(16) if mask >> v & 1]
+    return len(pts) == 1 << k and all(
+        mask >> (x ^ y ^ z) & 1 for x in pts for y in pts for z in pts
+    )
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 16])
+def test_affine_plane_matches_three_point_oracle(size):
+    for mask in range(1 << 16):
+        if mask.bit_count() == size:
+            for k in range(5):
+                assert kummer.is_affine_plane(mask, k) == _affine_plane_oracle(mask, k)
+
+
+def test_affine_plane_matches_three_point_oracle_on_8_sets():
+    rng = random.Random(15)
+    masks = kummer.affine_threeplanes() + [
+        kummer.mask_from_points(rng.sample(range(16), 8)) for _ in range(300)
+    ]
+    for mask in masks:
+        for k in range(5):
+            assert kummer.is_affine_plane(mask, k) == _affine_plane_oracle(mask, k)
+    assert sum(_affine_plane_oracle(m, 3) for m in masks) >= 30
+
+
 # -- Pi_3 -----------------------------------------------------------------------
 
 
@@ -130,6 +157,25 @@ def test_size4_even_sets_are_the_rows():
     rows = {kummer.translate_mask(ROW0, t) for t in (0, 1, 2, 3)}
     small = {m for m in kummer.coset_members("even") if kummer.mask_size(m) == 4}
     assert small == rows
+
+
+def _compositions_oracle(total, slots):
+    # the recursion the stars-and-bars enumeration replaced: head first, ascending
+    if slots == 1:
+        return [(total,)]
+    return [
+        (head,) + tail
+        for head in range(total + 1)
+        for tail in _compositions_oracle(total - head, slots - 1)
+    ]
+
+
+@pytest.mark.parametrize("slots", [1, 2, 16])
+@pytest.mark.parametrize("total", range(6))
+def test_compositions_match_recursive_oracle(total, slots):
+    got = list(kummer._compositions(total, slots))
+    assert got == _compositions_oracle(total, slots)
+    assert len(got) == comb(total + slots - 1, slots - 1)
 
 
 # -- translation orbits --------------------------------------------------------------
