@@ -4,8 +4,10 @@ Subcommands: series (named q-series), fgk (one multiplicity profile),
 genus (aggregated count report), orbits (translation-orbit table), verify
 (identity suites), cache (named-form JSON store).  Exit codes: 0 success,
 1 verification failure, 2 usage error or a file that cannot be read or
-written.  Each cmd_* returns (text, exit code); main() alone writes the
-text, to --out or stdout, and turns errors into an ``error: <msg>`` line.
+written.  Each cmd_* validates its input and returns (text, exit code),
+where text is a string or, for the JSON listings of genus and orbits, an
+iterable of pieces; main() alone writes it, with one writelines to --out or
+stdout, and turns errors into an ``error: <msg>`` line.
 
 Configuration precedence is flags > environment > defaults; the recognized
 environment variables are HYPCOUNT_ORDER and HYPCOUNT_CACHE_DIR.
@@ -27,13 +29,14 @@ DEFAULT_ORDER = 32
 # classes per shape, and their cost is one f_gk per shape: genus_total(g, 32)
 # took 0.45 s at g = 12 (1,659 shapes) on a 2-vCPU x86-64 VM with
 # Python 3.11, growing about 1.5x per genus (2.1 s at g = 16).  JSON lists
-# every orbit class by enumeration: `genus --g 6 --format json` takes 1.0 s
-# end to end (translation_orbits(14): 0.19-0.28 s, 9,116 classes), and the
-# class count grows about 4x per genus (35,884 at g = 7).  GENUS_MAX_LISTED
-# bounds both listings: `orbits` takes degrees up to 2 * 6 + 2 = 14, where
-# degree 16 took 2.0 s and 112 MB and degree 18 7.8 s and 350 MB.
+# every orbit class by enumeration, and the class count grows about 4x per
+# genus (9,116 at g = 6, 35,884 at g = 7).  With the listing written in
+# pieces, `genus --g 7 --format json` (28.9 MB of text) took 1.4-1.8 s and
+# 47 MB peak RSS end to end on a 2-vCPU VM.  GENUS_MAX_LISTED bounds both
+# listings: `orbits` takes degrees up to 2 * 7 + 2 = 16, which took 1.1-1.2 s
+# and 45 MB; degree 18 (about 4x the classes again) took 4.4 s and 126 MB.
 GENUS_MAX = 12
-GENUS_MAX_LISTED = 6
+GENUS_MAX_LISTED = 7
 
 # Largest truncation order.  `cache --action write` builds every named form;
 # in a fresh process on the same VM it took 0.32 s at order 1024, 0.86 s at
@@ -43,8 +46,59 @@ GENUS_MAX_LISTED = 6
 ORDER_MAX = 8192
 
 
+# encoders of the scalars a list may hold to take the one-join path
+_FLAT = {str: json.encoder.encode_basestring_ascii, int: str}
+
+
+def _json_pieces(obj, nl="\n", memo=None):
+    """The canonical JSON text of obj, in pieces, so that no caller holds it
+    whole: byte for byte what the stdlib's json.dumps writes with sorted
+    keys, an indent of 2 and (",", ": ") separators, plus a final newline.
+
+    A list of only str and int is encoded in one join, memoised per list
+    object for the call: the coefficient list that every orbit of a shape
+    shares is encoded once.  Each element of any other list is one piece."""
+    if memo is None:  # the whole document: its text, then a final newline
+        yield from _json_pieces(obj, nl, {})
+        yield "\n"
+        return
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for key in sorted(obj):
+            value = obj[key]
+            head = sep + _FLAT[str](key) + ": "
+            if type(value) in _FLAT:
+                yield head + _FLAT[type(value)](value)
+            else:
+                yield head
+                yield from _json_pieces(value, inner, memo)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+        elif all(type(x) in _FLAT for x in obj):
+            key = (id(obj), nl)
+            if key not in memo:
+                body = ("," + inner).join([_FLAT[type(x)](x) for x in obj])
+                memo[key] = "[" + inner + body + nl + "]"
+            yield memo[key]
+        else:
+            sep = "[" + inner
+            for x in obj:
+                yield sep + "".join(_json_pieces(x, inner, memo))
+                sep = "," + inner
+            yield nl + "]"
+    else:
+        yield json.dumps(obj)  # None, bools and any other scalar
+
+
 def _canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
+    return "".join(_json_pieces(data))
 
 
 def _env_order() -> int:
@@ -137,7 +191,7 @@ def cmd_genus(args) -> tuple:
         raise DomainError(f"genus must be between 1 and {GENUS_MAX}")
     report = counting.genus_total(args.g, args.order)
     if args.format == "json":
-        return _canonical_json(report.to_json()), 0
+        return _json_pieces(report.to_json()), 0
     if args.format == "csv":
         cells = _table_cells(report, "multiplicity")
         return "\n".join(",".join(row) for row in cells) + "\n", 0
@@ -161,7 +215,7 @@ def cmd_orbits(args) -> tuple:
         for o in kummer.translation_orbits(args.degree)
     ]
     if args.format == "json":
-        return _canonical_json(payload), 0
+        return _json_pieces(payload), 0
     if args.format == "csv":
         lines = ["rep,orbit_size,coset,shape"]
         for row in payload:
@@ -341,11 +395,12 @@ def main(argv=None) -> int:
         if args.order > ORDER_MAX:
             raise DomainError(f"order must be <= {ORDER_MAX}")
         text, code = args.fn(args)
+        pieces = [text] if isinstance(text, str) else text
         if getattr(args, "out", None):
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         return code
     except (DomainError, OSError) as exc:
         # bad input and unwritable paths alike: one line, usage exit code
