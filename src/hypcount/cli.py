@@ -7,7 +7,8 @@ genus (aggregated count report), orbits (translation-orbit table), verify
 written.  Each cmd_* validates its input and returns (text, exit code),
 where text is a string or, for the JSON listings of genus and orbits, an
 iterable of pieces; main() alone writes it, with one writelines to --out or
-stdout, and turns errors into an ``error: <msg>`` line.
+stdout, and turns errors into an ``error: <msg>`` line.  A stdout closed
+early (``| head``) is no error: the rest is dropped, the exit code stays.
 
 Configuration precedence is flags > environment > defaults; the recognized
 environment variables are HYPCOUNT_ORDER and HYPCOUNT_CACHE_DIR.
@@ -31,10 +32,10 @@ DEFAULT_ORDER = 32
 # Python 3.11, growing about 1.5x per genus (2.1 s at g = 16).  JSON lists
 # every orbit class by enumeration, and the class count grows about 4x per
 # genus (9,116 at g = 6, 35,884 at g = 7).  With the listing written in
-# pieces, `genus --g 7 --format json` (28.9 MB of text) took 1.4-1.8 s and
-# 47 MB peak RSS end to end on a 2-vCPU VM.  GENUS_MAX_LISTED bounds both
-# listings: `orbits` takes degrees up to 2 * 7 + 2 = 16, which took 1.1-1.2 s
-# and 45 MB; degree 18 (about 4x the classes again) took 4.4 s and 126 MB.
+# pieces, `genus --g 7 --format json` (28.9 MB of text) took 1.5-2.1 s and
+# 40.5 MB peak RSS end to end on a 2-vCPU VM.  GENUS_MAX_LISTED bounds both
+# listings: `orbits` takes degrees up to 2 * 7 + 2 = 16, which took 1.2-1.5 s
+# and 40 MB; degree 18 (about 4x the classes again) took 6.0 s and 103 MB.
 GENUS_MAX = 12
 GENUS_MAX_LISTED = 7
 
@@ -46,20 +47,19 @@ GENUS_MAX_LISTED = 7
 ORDER_MAX = 8192
 
 
-# encoders of the scalars a list may hold to take the one-join path
-_FLAT = {str: json.encoder.encode_basestring_ascii, int: str}
+_encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json_pieces(obj, nl="\n", memo=None):
+def _json_pieces(obj, nl=None):
     """The canonical JSON text of obj, in pieces, so that no caller holds it
     whole: byte for byte what the stdlib's json.dumps writes with sorted
     keys, an indent of 2 and (",", ": ") separators, plus a final newline.
 
-    A list of only str and int is encoded in one join, memoised per list
-    object for the call: the coefficient list that every orbit of a shape
-    shares is encoded once.  Each element of any other list is one piece."""
-    if memo is None:  # the whole document: its text, then a final newline
-        yield from _json_pieces(obj, nl, {})
+    A list of only str or only int (never bool) is encoded in one C-level
+    join; each element of any other list is one piece.  Nothing is kept
+    between pieces."""
+    if nl is None:  # the whole document: its text, then a final newline
+        yield from _json_pieces(obj, "\n")
         yield "\n"
         return
     inner = nl + "  "
@@ -70,31 +70,32 @@ def _json_pieces(obj, nl="\n", memo=None):
         sep = "{" + inner
         for key in sorted(obj):
             value = obj[key]
-            head = sep + _FLAT[str](key) + ": "
-            if type(value) in _FLAT:
-                yield head + _FLAT[type(value)](value)
+            head = sep + _encode_str(key) + ": "
+            if type(value) is str:
+                yield head + _encode_str(value)
+            elif type(value) is int:
+                yield head + str(value)
             else:
                 yield head
-                yield from _json_pieces(value, inner, memo)
+                yield from _json_pieces(value, inner)
             sep = "," + inner
         yield nl + "}"
     elif isinstance(obj, (list, tuple)):
         if not obj:
             yield "[]"
-        elif all(type(x) in _FLAT for x in obj):
-            key = (id(obj), nl)
-            if key not in memo:
-                body = ("," + inner).join([_FLAT[type(x)](x) for x in obj])
-                memo[key] = "[" + inner + body + nl + "]"
-            yield memo[key]
+            return
+        kinds = set(map(type, obj))
+        if kinds == {str} or kinds == {int}:
+            encode = _encode_str if kinds == {str} else str
+            yield "[" + inner + ("," + inner).join(map(encode, obj)) + nl + "]"
         else:
             sep = "[" + inner
             for x in obj:
-                yield sep + "".join(_json_pieces(x, inner, memo))
+                yield sep + "".join(_json_pieces(x, inner))
                 sep = "," + inner
             yield nl + "]"
     else:
-        yield json.dumps(obj)  # None, bools and any other scalar
+        yield json.dumps(obj)  # str, int, None, bools and any other scalar
 
 
 def _canonical_json(data) -> str:
@@ -112,12 +113,8 @@ def _env_order() -> int:
 
 
 def _series_csv(series, var="q") -> str:
-    lines = [f"{var}^n,coefficient"]
-    from .fps import _rat_str
-
-    for n, c in enumerate(series.coeffs):
-        lines.append(f"{n},{_rat_str(c)}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{n},{c}" for n, c in enumerate(series.to_json()["coeffs"])]
+    return "\n".join([f"{var}^n,coefficient", *rows]) + "\n"
 
 
 def cmd_series(args) -> tuple:
@@ -241,7 +238,7 @@ def cmd_verify(args) -> tuple:
 CACHE_ROSTER = (
     [("A", k) for k in range(0, 6)]
     + [("C", k) for k in range(0, 6)]
-    + [(name, None) for name in ("E", "delta_inv", "legendre", "theta2_4", "E2")]
+    + [(name, None) for name in qforms.UNINDEXED_FORMS]
 )
 
 
@@ -400,7 +397,11 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.writelines(pieces)
         else:
-            sys.stdout.writelines(pieces)
+            try:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+            except BrokenPipeError:  # not bad input; keep the exit-time flush quiet
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (DomainError, OSError) as exc:
         # bad input and unwritable paths alike: one line, usage exit code

@@ -268,15 +268,16 @@ def admissible_profiles(degree: int):
 
 @lru_cache(maxsize=1)
 def _support_classes() -> tuple:
-    """One support from each translation class of the 64 admissible
-    supports, with the translators of its stabilizer other than 0."""
+    """(P, coset, translators of Stab(P) other than 0) for one support P of
+    each translation class of the 64 admissible supports.  The class holds
+    16 / |Stab(P)| supports, all in P's coset, as the coset sizes differ."""
     classes = {}
     for which in ("even", "odd"):
         for P in coset_members(which):
             key = min(translate_mask(P, t) for t in POINTS)
             if key not in classes:
                 stab = [_TRANSLATORS[t] for t in POINTS[1:] if translate_mask(P, t) == P]
-                classes[key] = (P, tuple(stab))
+                classes[key] = (P, which, tuple(stab))
     return tuple(classes.values())
 
 
@@ -291,11 +292,11 @@ def translation_orbits(degree: int) -> list:
     only if it is the least of its Stab(P)-images; its class has 16 / #{t in
     Stab(P) fixing it} members.  A profile is 1 on P plus twice a
     composition, and Stab(P) fixes the 1 on P, so the test runs on the
-    composition.
+    composition.  Every profile of the class has its support in P's coset.
     """
     _check_degree(degree)
     orbits = []
-    for P, stab in _support_classes():
+    for P, which, stab in _support_classes():
         size = mask_size(P)
         if size > degree:
             continue
@@ -310,7 +311,7 @@ def translation_orbits(degree: int) -> list:
             else:
                 config = tuple(base[v] + 2 * comp[v] for v in POINTS)
                 rep = orbit_rep(config)
-                orbits.append(Orbit(rep, 16 // fixing, admissible(odd_support(rep))))
+                orbits.append(Orbit(rep, 16 // fixing, which))
     orbits.sort(key=attrgetter("rep"))
     return orbits
 
@@ -368,11 +369,11 @@ def orbit_counts_by_type(degree: int) -> dict:
     """
     _check_degree(degree)
     supports: dict = {}  # |P| -> [first P, number of P, sum over P of #{t != 0 fixing P}]
-    for which in ("even", "odd"):
-        for P in coset_members(which):
-            entry = supports.setdefault(mask_size(P), [P, 0, 0])
-            entry[1] += 1
-            entry[2] += sum(1 for t in POINTS[1:] if translate_mask(P, t) == P)
+    for P, _, stab in _support_classes():
+        n_class = 16 // (len(stab) + 1)  # supports in the class, each fixed by stab
+        entry = supports.setdefault(mask_size(P), [P, 0, 0])
+        entry[1] += n_class
+        entry[2] += n_class * len(stab)
     counts = {}
     for size, (P, n_supports, n_fixing) in sorted(supports.items()):
         if size > degree:

@@ -218,7 +218,16 @@ def theta2_fourth(order: int) -> Series:
 # named-form envelope (CLI / cache surface)
 # ---------------------------------------------------------------------------
 
-FORM_NAMES = ("A", "C", "E", "delta_inv", "legendre", "theta2_4", "E2")
+# the builder of each form that takes no index, in cache-roster order; each entry
+# calls the module global, so a builder rebound on the module (a tracer) is called
+UNINDEXED_FORMS = {
+    "E": lambda order: series_E(order),
+    "delta_inv": lambda order: delta_inv_times_q(order),
+    "legendre": lambda order: legendre_series(order),
+    "theta2_4": lambda order: theta2_fourth(order),
+    "E2": lambda order: series_E2(order),
+}
+FORM_NAMES = ("A", "C", *UNINDEXED_FORMS)
 
 
 class NamedForm(namedtuple("NamedForm", "name params series")):
@@ -237,24 +246,13 @@ class NamedForm(namedtuple("NamedForm", "name params series")):
 
 def named_form(name: str, k: int | None = None, order: int = 32) -> NamedForm:
     """Build one of the exported named series by name."""
-    if name == "A":
+    if name in ("A", "C"):
         if k is None or k < 0:
-            raise DomainError("form A requires k >= 0")
-        return NamedForm("A", (k,), macmahon_A(k, order))
-    if name == "C":
-        if k is None or k < 0:
-            raise DomainError("form C requires k >= 0")
-        return NamedForm("C", (k,), macmahon_C(k, order))
-    if k is not None and name in FORM_NAMES:
+            raise DomainError(f"form {name} requires k >= 0")
+        build = macmahon_A if name == "A" else macmahon_C
+        return NamedForm(name, (k,), build(k, order))
+    if name not in UNINDEXED_FORMS:
+        raise DomainError(f"unknown form name {name!r}; expected one of {FORM_NAMES}")
+    if k is not None:
         raise DomainError(f"form {name} takes no index")
-    if name == "E":
-        return NamedForm("E", (), series_E(order))
-    if name == "delta_inv":
-        return NamedForm("delta_inv", (), delta_inv_times_q(order))
-    if name == "legendre":
-        return NamedForm("legendre", (), legendre_series(order))
-    if name == "theta2_4":
-        return NamedForm("theta2_4", (), theta2_fourth(order))
-    if name == "E2":
-        return NamedForm("E2", (), series_E2(order))
-    raise DomainError(f"unknown form name {name!r}; expected one of {FORM_NAMES}")
+    return NamedForm(name, (), UNINDEXED_FORMS[name](order))

@@ -188,9 +188,7 @@ def z_of_x(order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
-def theta_block_from_lattice_sum(
-    kind: str, bound: int, order: int, xdeg: int | None = None
-) -> tuple:
+def theta_block_from_lattice_sum(kind: str, bound: int, order: int) -> tuple:
     """Rebuild a block from the truncated two-sided exponential sums.
 
     g-points carry sum_{|k|<=bound} (-1)^k u^(2k^2) e^(ikz); conjugate terms
@@ -204,8 +202,7 @@ def theta_block_from_lattice_sum(
     """
     if bound < 1 or 2 * bound * bound <= order:
         raise BoundTooSmall(f"need 2*bound^2 > order (bound={bound}, order={order})")
-    if xdeg is None:
-        xdeg = block_xdeg(kind, order)
+    xdeg = block_xdeg(kind, order)
     zx = z_of_x(xdeg)
     cols = [dict() for _ in range(xdeg + 1)]
 

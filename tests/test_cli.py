@@ -193,9 +193,12 @@ shared = ["\u00e9", 3]
 @example([[], {}, [[]], {"": {}}])
 @example("\x00\x1f\"\\\u2028\U0001f600")
 @example({"a": shared, "b": [shared, {"c": shared}], "d": shared})
+@example(["a", 1])
+@example([2**100, -1])
+@example([True, False])
 def test_canonical_json_matches_json_dumps(value):
-    # a list takes the one-join path only when every element is a str or an
-    # int, never a bool; a shared list is memoised per indentation
+    # a list takes the one-join path only when its elements are all str or
+    # all int, never bool
     assert cli._canonical_json(value) == reference_json(value)
 
 
@@ -240,6 +243,20 @@ def test_genus_json_listing_holds_at_most_twice_its_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * target.stat().st_size
+
+
+def test_json_writer_keeps_no_text_between_pieces():
+    # every orbit of a shape shares its coefficient list; the writer encodes
+    # it again for each orbit instead of keeping its text for the whole call
+    data = counting.genus_total(5, 32).to_json()
+    tracemalloc.start()
+    try:
+        for _ in cli._json_pieces(data):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize(
@@ -468,11 +485,15 @@ def test_verify_output_is_deterministic(capsys):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def fresh_python(*argv):
+def fresh_env() -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = SRC
+    return env
+
+
+def fresh_python(*argv):
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *argv], env=fresh_env(), capture_output=True, text=True, timeout=120
     )
 
 
@@ -491,6 +512,20 @@ def test_cli_import_leaves_out_dataclasses_and_verify():
     last = done.stdout.splitlines()[-1]
     passed, total = last.split()[0].split("/")
     assert passed == total and int(total) > 0
+
+
+def test_reader_closing_stdout_early_is_not_an_error():
+    # `hypcount orbits --degree 12 --format json | head -c 100`
+    argv = ["-m", "hypcount.cli", "orbits", "--degree", "12", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, *argv], env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head.startswith(b"[\n  {")
+    assert err == b""
+    assert proc.returncode == 0
 
 
 @pytest.mark.parametrize(
