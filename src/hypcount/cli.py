@@ -5,10 +5,11 @@ genus (aggregated count report), orbits (translation-orbit table), verify
 (identity suites), cache (named-form JSON store).  Exit codes: 0 success,
 1 verification failure, 2 usage error or a file that cannot be read or
 written.  Each cmd_* validates its input and returns (text, exit code),
-where text is a string or, for the JSON listings of genus and orbits, an
-iterable of pieces; main() alone writes it, with one writelines to --out or
-stdout, and turns errors into an ``error: <msg>`` line.  A stdout closed
-early (``| head``) is no error: the rest is dropped, the exit code stays.
+where text is a string or, for the genus JSON listing and every orbits
+layout, pieces built one orbit class at a time from a list enumerated
+before the command returns; main() alone writes it, with one writelines to
+--out or stdout, and turns errors into an ``error: <msg>`` line.  A stdout
+closed early (``| head``) is no error: the rest is dropped, the code stays.
 
 Configuration precedence is flags > environment > defaults; the recognized
 environment variables are HYPCOUNT_ORDER and HYPCOUNT_CACHE_DIR.
@@ -20,6 +21,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
+from itertools import chain
 
 from .errors import DomainError, HypcountError
 from . import SUITES, counting, kummer, qforms
@@ -31,11 +34,11 @@ DEFAULT_ORDER = 32
 # took 0.45 s at g = 12 (1,659 shapes) on a 2-vCPU x86-64 VM with
 # Python 3.11, growing about 1.5x per genus (2.1 s at g = 16).  JSON lists
 # every orbit class by enumeration, and the class count grows about 4x per
-# genus (9,116 at g = 6, 35,884 at g = 7).  With the listing written in
-# pieces, `genus --g 7 --format json` (28.9 MB of text) took 1.5-2.1 s and
-# 40.5 MB peak RSS end to end on a 2-vCPU VM.  GENUS_MAX_LISTED bounds both
-# listings: `orbits` takes degrees up to 2 * 7 + 2 = 16, which took 1.2-1.5 s
-# and 40 MB; degree 18 (about 4x the classes again) took 6.0 s and 103 MB.
+# genus (9,116 at g = 6, 35,884 at g = 7).  Rows are built as written, so
+# `genus --g 7 --format json` (28.9 MB of text) took 1.9-2.0 s and 25 MB
+# peak RSS end to end on a 2-vCPU VM.  GENUS_MAX_LISTED bounds both
+# listings: `orbits` takes degrees up to 2 * 7 + 2 = 16, which took 1.2-1.7 s
+# and 25 MB in each layout; degree 18 (124,236 classes) took 4-5 s and 49 MB.
 GENUS_MAX = 12
 GENUS_MAX_LISTED = 7
 
@@ -55,9 +58,10 @@ def _json_pieces(obj, nl=None):
     whole: byte for byte what the stdlib's json.dumps writes with sorted
     keys, an indent of 2 and (",", ": ") separators, plus a final newline.
 
-    A list of only str or only int (never bool) is encoded in one C-level
-    join; each element of any other list is one piece.  Nothing is kept
-    between pieces."""
+    An iterator stands for the list of its items and is read one item at a
+    time.  A list of only str or only int (never bool) is encoded in one
+    C-level join; each element of any other list or iterator is one piece.
+    Nothing is kept between pieces."""
     if nl is None:  # the whole document: its text, then a final newline
         yield from _json_pieces(obj, "\n")
         yield "\n"
@@ -80,20 +84,17 @@ def _json_pieces(obj, nl=None):
                 yield from _json_pieces(value, inner)
             sep = "," + inner
         yield nl + "}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        kinds = set(map(type, obj))
+    elif isinstance(obj, (list, tuple, Iterator)):
+        kinds = set(map(type, obj)) if isinstance(obj, (list, tuple)) else None
         if kinds == {str} or kinds == {int}:
             encode = _encode_str if kinds == {str} else str
             yield "[" + inner + ("," + inner).join(map(encode, obj)) + nl + "]"
-        else:
-            sep = "[" + inner
-            for x in obj:
-                yield sep + "".join(_json_pieces(x, inner))
-                sep = "," + inner
-            yield nl + "]"
+            return
+        sep = "[" + inner
+        for x in obj:
+            yield sep + "".join(_json_pieces(x, inner))
+            sep = "," + inner
+        yield "[]" if sep[0] == "[" else nl + "]"  # still "[": no item was met
     else:
         yield json.dumps(obj)  # str, int, None, bools and any other scalar
 
@@ -188,7 +189,7 @@ def cmd_genus(args) -> tuple:
         raise DomainError(f"genus must be between 1 and {GENUS_MAX}")
     report = counting.genus_total(args.g, args.order)
     if args.format == "json":
-        return _json_pieces(report.to_json()), 0
+        return _json_pieces(report.listing()), 0
     if args.format == "csv":
         cells = _table_cells(report, "multiplicity")
         return "\n".join(",".join(row) for row in cells) + "\n", 0
@@ -207,25 +208,18 @@ def cmd_genus(args) -> tuple:
 def cmd_orbits(args) -> tuple:
     if args.degree > 2 * GENUS_MAX_LISTED + 2:
         raise DomainError(f"degree must be <= {2 * GENUS_MAX_LISTED + 2}")
-    payload = [
-        {**o.to_json(), "shape": counting.shape_label(o.rep)}
-        for o in kummer.translation_orbits(args.degree)
-    ]
+    orbits = kummer.translation_orbits(args.degree)
+    rows = counting._orbit_rows(orbits)
     if args.format == "json":
-        return _json_pieces(payload), 0
+        return _json_pieces(rows), 0
     if args.format == "csv":
-        lines = ["rep,orbit_size,coset,shape"]
-        for row in payload:
-            rep = " ".join(str(v) for v in row["rep"])
-            lines.append(f"{rep},{row['orbit_size']},{row['coset']},{row['shape']}")
+        head, rep_sep = "rep,orbit_size,coset,shape", " "
+        layout = "{},{orbit_size},{coset},{shape}"
     else:
-        lines = [f"degree {args.degree}: {len(payload)} orbit classes"]
-        for row in payload:
-            rep = ",".join(str(v) for v in row["rep"])
-            lines.append(
-                f"  [{rep}] size {row['orbit_size']:>2} {row['coset']:<5} {row['shape']}"
-            )
-    return "\n".join(lines) + "\n", 0
+        head, rep_sep = f"degree {args.degree}: {len(orbits)} orbit classes", ","
+        layout = "  [{}] size {orbit_size:>2} {coset:<5} {shape}"
+    lines = (layout.format(rep_sep.join(map(str, row["rep"])), **row) + "\n" for row in rows)
+    return chain([head + "\n"], lines), 0
 
 
 def cmd_verify(args) -> tuple:
@@ -289,8 +283,9 @@ def cmd_cache(args) -> tuple:
     if args.action == "clear":
         if os.path.isdir(cache_dir):
             for entry in os.listdir(cache_dir):
-                if entry.endswith(".json"):
-                    os.remove(os.path.join(cache_dir, entry))
+                path = os.path.join(cache_dir, entry)
+                if entry.endswith(".json") and os.path.isfile(path):
+                    os.remove(path)
         return f"cleared {cache_dir}\n", 0
     if not os.path.isdir(cache_dir):
         raise DomainError(f"no such directory {cache_dir}")
@@ -301,7 +296,7 @@ def cmd_cache(args) -> tuple:
             with open(os.path.join(cache_dir, entry)) as fh:
                 stored = fh.read()  # a UnicodeDecodeError is a ValueError
             data, form = _load_cached(stored)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:  # also a *.json directory
             lines.append(f"INVALID {entry}: {exc}")
             continue
         fresh = _canonical_json(form.to_json())

@@ -20,7 +20,7 @@ two is a strong end-to-end check of the whole calculus.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import DomainError
 from .fps import Series
@@ -183,35 +183,42 @@ def gottsche_reconcile(order: int) -> bool:
     return a1.qderiv().qderiv() == want
 
 
+def _orbit_rows(orbits, shape_series=None):
+    """One listing row per enumerated orbit class, built only when read: its
+    fields, its shape and, if shape_series maps shapes to it, the series JSON."""
+    for orbit in orbits:
+        shape = shape_label(orbit.rep)
+        yield {**orbit.to_json(), "shape": shape, **(shape_series[shape] if shape_series else {})}
+
+
 class CountReport(namedtuple("CountReport", "genus order shapes total")):
     """Genus aggregate.  ``shapes`` maps each shape label to (number of
     translation-orbit classes of that shape, the shape's series); ``total``
     is the sum of multiplicity times series.  ``orbits`` lists the classes
-    one by one as ``kummer.Orbit`` and is enumerated on first access only
-    (no ``__slots__``, so the cached value has an instance dict to live in)."""
+    one by one as ``kummer.Orbit``, enumerated anew on each access."""
 
-    @cached_property
-    def orbits(self) -> tuple:
-        return tuple(kummer.translation_orbits(2 * self.genus + 2))
+    __slots__ = ()
+
+    @property
+    def orbits(self) -> list:
+        return kummer.translation_orbits(2 * self.genus + 2)
 
     def shape_multiplicities(self) -> dict:
         return {shape: mult for shape, (mult, _) in self.shapes.items()}
 
-    def to_json(self) -> dict:
-        # each shape's series is serialized once and shared by its orbits
-        by_shape = {
-            shape: {"shape": shape, **series.to_json()}
-            for shape, (_, series) in self.shapes.items()
-        }
+    def listing(self) -> dict:
+        """The JSON document, its rows read lazily from orbits enumerated now."""
+        shape_series = {shape: series.to_json() for shape, (_, series) in self.shapes.items()}
         return {
             "genus": self.genus,
             "order": self.order,
-            "orbits": [
-                {**orbit.to_json(), **by_shape[shape_label(orbit.rep)]}
-                for orbit in self.orbits
-            ],
+            "orbits": _orbit_rows(self.orbits, shape_series),
             "total": self.total.to_json()["coeffs"],
         }
+
+    def to_json(self) -> dict:
+        data = self.listing()
+        return {**data, "orbits": list(data["orbits"])}
 
     def table_rows(self):
         """Rows shaped like the reference coefficient table: one row per

@@ -489,11 +489,8 @@ def check_parity_separation(order, rng):
 
 def check_genus1(order, rng):
     report = counting.genus_total(1, max(order, 8))
-    ok = (
-        len(report.orbits) == 1
-        and report.orbits[0].size == 4
-        and report.total == Series.one(report.order)
-    )
+    orbits = report.orbits
+    ok = len(orbits) == 1 and orbits[0].size == 4 and report.total == Series.one(report.order)
     return ok, "one orbit of size 4 with constant total 1"
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypcount import cli, counting, kummer, verify
+from hypcount.errors import HypcountError
 from hypcount.fps import Series
 
 
@@ -196,10 +197,22 @@ shared = ["\u00e9", 3]
 @example(["a", 1])
 @example([2**100, -1])
 @example([True, False])
+@example([])
+@example({"rows": ["x", 1, None, [2, "y"], {"z": True}], "total": ["1"]})
 def test_canonical_json_matches_json_dumps(value):
     # a list takes the one-join path only when its elements are all str or
-    # all int, never bool
+    # all int, never bool; an iterator is written as the list of its items
     assert cli._canonical_json(value) == reference_json(value)
+    assert cli._canonical_json(streamed(value)) == reference_json(value)
+
+
+def streamed(value):
+    """value with every list in it handed over as an iterator."""
+    if isinstance(value, dict):
+        return {key: streamed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return iter([streamed(item) for item in value])
+    return value
 
 
 @pytest.mark.parametrize("g", range(1, 6))
@@ -230,19 +243,30 @@ def test_streamed_listing_out_equals_stdout(capsys, tmp_path, argv):
     assert target.read_bytes() == out.encode()
 
 
-def test_genus_json_listing_holds_at_most_twice_its_text(tmp_path):
-    # the writer never holds the whole text: the stdlib's indenting encoder
-    # peaked at 7.8x the file size here, the streamed listing at about 1.1x
-    target = tmp_path / "g5.json"
-    argv = ["genus", "--g", "5", "--order", "32", "--format", "json", "--out", str(target)]
-    assert cli.main(argv) == 0  # warms the count and orbit caches
+def traced_peak(fn, *args) -> int:
     tracemalloc.start()
     try:
-        assert cli.main(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * target.stat().st_size
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "genus --g 5 --order 32 --format json",
+        "orbits --degree 12 --format json",
+        "orbits --degree 12 --format csv",
+        "orbits --degree 12 --format text",
+    ],
+)
+def test_listing_holds_little_beyond_its_orbit_list(tmp_path, argv):
+    # each row is built as it is written, so a listing holds its orbit list
+    # and one row at a time; building every row first peaked at 2.7-3x
+    argv = [*argv.split(), "--out", str(tmp_path / "listing")]
+    assert cli.main(argv) == 0  # warms the count and orbit caches
+    assert traced_peak(cli.main, argv) < 1.5 * traced_peak(kummer.translation_orbits, 12)
 
 
 def test_json_writer_keeps_no_text_between_pieces():
@@ -271,6 +295,21 @@ def test_rejected_json_listing_writes_nothing(capsys, tmp_path, argv, message):
     assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
     target = tmp_path / "listing.json"
     assert run(capsys, *argv.split(), "--out", str(target)) == (2, "", f"error: {message}\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", ["genus --g 3 --format json", "orbits --degree 8 --format csv"])
+def test_listing_enumerates_before_it_writes(capsys, monkeypatch, tmp_path, argv):
+    # the rows are built lazily, but the orbit list they read is enumerated
+    # before the command returns, so a failing enumeration writes nothing
+    def failing(degree):
+        raise HypcountError("enumeration failed")
+
+    monkeypatch.setattr(kummer, "translation_orbits", failing)
+    target = tmp_path / "listing"
+    failed = (1, "", "error: enumeration failed\n")
+    assert run(capsys, *argv.split()) == failed
+    assert run(capsys, *argv.split(), "--out", str(target)) == failed
     assert not target.exists()
 
 
@@ -632,17 +671,27 @@ def test_cache_check_reports_coefficient_count_mismatch(capsys, tmp_path):
     ]
 
 
-def test_cache_check_unreadable_entry_is_one_line_error(capsys, tmp_path):
-    # stdout is written once the command finishes: a read error after an
-    # INVALID entry leaves only the error line
+def test_cache_check_reports_unreadable_entry_and_goes_on(capsys, tmp_path):
+    # a *.json entry that cannot be read is one INVALID line, not the end
     cache = tmp_path / "forms"
-    cache.mkdir()
-    (cache / "aa_bad.json").write_text("{not json")
-    (cache / "zz_dir.json").mkdir()
+    run(capsys, "cache", "--action", "write", "--dir", str(cache), "--order", "8")
+    (cache / "sub.json").mkdir()
     code, out, err = run(capsys, "cache", "--action", "check", "--dir", str(cache))
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert (code, err) == (1, "")
+    invalid, summary = out.splitlines()
+    assert invalid.startswith("INVALID sub.json: [Errno 21] Is a directory")
+    assert summary == "checked 18 cached forms, 1 mismatched"
+
+
+def test_cache_clear_removes_regular_files_only(capsys, tmp_path):
+    cache = tmp_path / "forms"
+    run(capsys, "cache", "--action", "write", "--dir", str(cache), "--order", "8")
+    (cache / "sub.json").mkdir()
+    (cache / "notes.txt").write_text("kept")
+    assert run(capsys, "cache", "--action", "clear", "--dir", str(cache)) == (
+        0, f"cleared {cache}\n", ""
+    )
+    assert sorted(os.listdir(cache)) == ["notes.txt", "sub.json"]
 
 
 @pytest.mark.parametrize("action", ["clear", "write", "check"])

@@ -68,18 +68,3 @@ def test_record_fields_are_read_only(index):
             setattr(record, name, None)
     assert {name: getattr(record, name) for name in fields} == fields
 
-
-def test_report_orbits_enumerated_once_on_first_access(monkeypatch):
-    calls = []
-    enumerate_orbits = kummer.translation_orbits
-
-    def counted(degree):
-        calls.append(degree)
-        return enumerate_orbits(degree)
-
-    monkeypatch.setattr(kummer, "translation_orbits", counted)
-    report = counting.genus_total(2, 8)
-    assert calls == []
-    first = report.orbits
-    assert report.orbits is first and calls == [6]
-    assert len(first) == 5
