@@ -35,9 +35,9 @@ DEFAULT_ORDER = 32
 # Python 3.11, growing about 1.5x per genus (2.1 s at g = 16).  JSON lists
 # every orbit class by enumeration, and the class count grows about 4x per
 # genus (9,116 at g = 6, 35,884 at g = 7).  Rows are built as written, so
-# `genus --g 7 --format json` (28.9 MB of text) took 1.9-2.0 s and 25 MB
+# `genus --g 7 --format json` (28.9 MB of text) took 1.3-1.9 s and 25 MB
 # peak RSS end to end on a 2-vCPU VM.  GENUS_MAX_LISTED bounds both
-# listings: `orbits` takes degrees up to 2 * 7 + 2 = 16, which took 1.2-1.7 s
+# listings: `orbits` takes degrees up to 2 * 7 + 2 = 16, which took 0.8-1.3 s
 # and 25 MB in each layout; degree 18 (124,236 classes) took 4-5 s and 49 MB.
 GENUS_MAX = 12
 GENUS_MAX_LISTED = 7

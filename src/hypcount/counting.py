@@ -19,8 +19,9 @@ two is a strong end-to-end check of the whole calculus.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import DomainError
 from .fps import Series
@@ -38,36 +39,28 @@ def _C_u2(j: int, order: int) -> Series:
 
 
 def _factors(config):
-    """The product formula's pieces for one profile: (odd support P, power
-    of E, the A and C factors in point order as (label, constructor, index)).
-    A point of multiplicity 1 contributes A_0 = 1 and is left out."""
-    P = kummer.odd_support(config)
+    """The product formula's pieces, read off the value multiset alone: (power
+    of E, one (label, constructor, index, multiplicity) per distinct value
+    >= 2, sorted by label).  The odd values sit exactly on the odd support P,
+    so there are |P| of them and E appears to the power |P|/2 - 2.  An odd
+    value k gives A_((k-1)/2)(u^4), an even one C_(k/2)(u^2); the values 0
+    and 1 (A_0 = 1) give nothing."""
+    counts = Counter(config)
     factors = []
-    for v, kv in enumerate(config):
-        if P >> v & 1:
-            if kv > 1:
-                j = (kv - 1) // 2
-                factors.append((f"A{j}(u^4)", _A_u4, j))
-        elif kv:
-            factors.append((f"C{kv // 2}(u^2)", _C_u2, kv // 2))
-    return P, kummer.mask_size(P) // 2 - 2, factors
+    for kv, mult in counts.items():
+        if kv > 1:  # kv // 2 is (kv - 1) / 2 for odd kv
+            name, make = ("A{}(u^4)", _A_u4) if kv % 2 else ("C{}(u^2)", _C_u2)
+            factors.append((name.format(kv // 2), make, kv // 2, mult))
+    factors.sort(key=itemgetter(0))
+    return sum(mult for kv, mult in counts.items() if kv % 2) // 2 - 2, factors
 
 
 def shape_label(config) -> str:
     """Multiset of named factors, e.g. ``E^2``, ``A1(u^4)*C1(u^2)``, ``1``."""
-    _, epow, factors = _factors(config)
-    counts: dict = {}
-    for name, _, _ in factors:
-        counts[name] = counts.get(name, 0) + 1
-    parts = []
-    if epow == 1:
-        parts.append("E")
-    elif epow > 1:
-        parts.append(f"E^{epow}")
-    for name in sorted(counts):
-        mult = counts[name]
-        parts.append(name if mult == 1 else f"{name}^{mult}")
-    return "*".join(parts) if parts else "1"
+    epow, factors = _factors(config)
+    parts = [] if epow < 1 else ["E" if epow == 1 else f"E^{epow}"]
+    parts += [name if mult == 1 else f"{name}^{mult}" for name, _, _, mult in factors]
+    return "*".join(parts) or "1"
 
 
 def _check_profile(config):
@@ -102,14 +95,16 @@ def f_gk(config, order: int) -> CountSeries:
     """Counting series of one multiplicity profile (closed product route)."""
     config = tuple(config)
     _check_profile(config)
-    P, epow, factors = _factors(config)
-    coset = kummer.admissible(P)
+    coset = kummer.admissible(kummer.odd_support(config))
     if coset is None:
         return CountSeries(config, None, Series.zero(order))
     # an even total makes |P| even, and admissible supports have |P| >= 4
+    epow, factors = _factors(config)
     acc = qforms.series_E(order) ** epow
-    for _, make, j in factors:
-        acc = acc * make(j, order)
+    for _, make, j, mult in factors:
+        factor = make(j, order)
+        for _ in range(mult):
+            acc = acc * factor
     return CountSeries(config, coset, acc)
 
 
@@ -185,9 +180,14 @@ def gottsche_reconcile(order: int) -> bool:
 
 def _orbit_rows(orbits, shape_series=None):
     """One listing row per enumerated orbit class, built only when read: its
-    fields, its shape and, if shape_series maps shapes to it, the series JSON."""
+    fields, its shape and, if shape_series maps shapes to it, the series JSON.
+    The shape depends on the value multiset only, so each is labelled once."""
+    shapes = {}
     for orbit in orbits:
-        shape = shape_label(orbit.rep)
+        values = tuple(sorted(orbit.rep))
+        shape = shapes.get(values)
+        if shape is None:
+            shape = shapes[values] = shape_label(orbit.rep)
         yield {**orbit.to_json(), "shape": shape, **(shape_series[shape] if shape_series else {})}
 
 
@@ -246,8 +246,9 @@ def genus_total(g: int, order: int) -> CountReport:
     are counted per shape by Burnside's lemma, so f_gk runs once per shape."""
     if g < 1:
         raise DomainError("genus must be >= 1")
-    # types and shapes correspond one to one: the label records |P| (as the
-    # power of E) and every value other than 1 on P and 0 off P
+    # types and shapes correspond one to one by construction: shape_label
+    # reads only the type, and its label records the number of odd values
+    # (as the power of E) and every value other than 0 and 1
     shapes = {
         shape_label(rep): (count, f_gk(rep, order).series)
         for rep, count in kummer.orbit_counts_by_type(2 * g + 2).items()

@@ -174,24 +174,24 @@ def pairing(w1, w2):
 # ---------------------------------------------------------------------------
 
 
+# the 64 admissible supports P, each with its coset: 'even' iff P + eps0 is
+# in the closure-generated Pi_3, 'odd' iff P + eps1 is (disjoint, as checked)
+_COSETS = {
+    eta ^ eps: which for which, eps in (("even", EPS0_MASK), ("odd", EPS1_MASK)) for eta in _PI3
+}
+
+
 def admissible(mask: int):
-    """Which coset (if either) the odd-multiplicity support lies in:
-    'even' iff P + eps0 is in Pi_3, 'odd' iff P + eps1 is, else None.
-    Looks P + eps_i up in the closure-generated Pi_3, which the import-time
-    check has matched against the affine-indicator test."""
-    mask &= FULL_MASK
-    if mask ^ EPS0_MASK in _PI3:
-        return "even"
-    if mask ^ EPS1_MASK in _PI3:
-        return "odd"
-    return None
+    """Which coset (if either) the odd-multiplicity support lies in: one
+    lookup in the table of the 64 admissible supports, else None."""
+    return _COSETS.get(mask & FULL_MASK)
 
 
-@lru_cache(maxsize=4)
 def coset_members(which: str) -> tuple:
     """All 32 admissible supports of one coset, sorted by mask."""
-    eps = {"even": EPS0_MASK, "odd": EPS1_MASK}[which]
-    return tuple(sorted(eta ^ eps for eta in _PI3))
+    if which not in ("even", "odd"):
+        raise DomainError("coset must be 'even' or 'odd'")
+    return tuple(sorted(P for P, coset in _COSETS.items() if coset == which))
 
 
 # configs are plain 16-tuples of nonnegative ints: entry v is the number of

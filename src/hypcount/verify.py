@@ -621,18 +621,15 @@ def run_suite(suites, order: int):
 
     wanted = SUITES if "all" in suites else tuple(suites)
     results = []
-    for suite in SUITES:
+    for suite, name, source, fn in CHECKS:  # CHECKS is grouped in SUITES order
         if suite not in wanted:
             continue
-        for s, name, source, fn in CHECKS:
-            if s != suite:
-                continue
-            rng = random.Random(SEED ^ crc32(f"{s}:{name}".encode()))
-            try:
-                ok, detail = fn(order, rng)
-            except Exception as exc:  # a crashed check is a failed check
-                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            results.append(CheckResult(suite, name, source, ok, detail))
+        rng = random.Random(SEED ^ crc32(f"{suite}:{name}".encode()))
+        try:
+            ok, detail = fn(order, rng)
+        except Exception as exc:  # a crashed check is a failed check
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(suite, name, source, ok, detail))
     return results, all(r.ok for r in results)
 
 

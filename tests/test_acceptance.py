@@ -32,17 +32,6 @@ def record(number, ok, description):
     return ok
 
 
-def admissible_profiles(degree):
-    for which in ("even", "odd"):
-        for P in kummer.coset_members(which):
-            size = kummer.mask_size(P)
-            if size > degree:
-                continue
-            base = [1 if P >> v & 1 else 0 for v in range(16)]
-            for comp in kummer._compositions((degree - size) // 2, 16):
-                yield tuple(base[v] + 2 * comp[v] for v in range(16))
-
-
 def test_01_table_reproduction(capsys):
     golden = load_golden("table1.json")
     cols = golden["columns"]
@@ -171,7 +160,7 @@ def test_08_two_route_equivalence(capsys):
     checked = 0
     ok = True
     for degree in (4, 6, 8):
-        for cfg in admissible_profiles(degree):
+        for cfg in kummer.admissible_profiles(degree):
             if counting.f_gk(cfg, 12).series != counting.f_gk_via_potential(cfg, 12):
                 ok = False
                 break
@@ -210,7 +199,7 @@ def test_10_minimal_genus_law(capsys):
     checked = 0
     ok = True
     for degree in (4, 6, 8, 10):
-        for cfg in admissible_profiles(degree):
+        for cfg in kummer.admissible_profiles(degree):
             h = counting.min_arith_genus(cfg)
             if counting.f_gk(cfg, h + 1).series.valuation() != h - 1:
                 ok = False

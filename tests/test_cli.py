@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypcount import cli, counting, kummer, verify
+from hypcount import SUITES, cli, counting, kummer, verify
 from hypcount.errors import HypcountError
 from hypcount.fps import Series
 
@@ -126,6 +126,9 @@ LAYOUT_PINS = [
     ("genus --g 5 --table", "de9963571181ca6c9d9cfc9f01df877d14e2176c214a2bd51834eb4d3fc4e688"),
     ("orbits --degree 6", "8efdde472ad2a5399f7cf10f4a7f4b6a1a879cb211627becd71b22d7af5d1bfe"),
     ("orbits --degree 6 --format csv", "0652502822b965facff8399716967c4eed5385fd662af9ac44edb6b3968fa855"),
+    ("orbits --degree 10 --format csv", "a3d27d3e691c0a604c955a42392465f0fac1744299991acd90ee4f0963ffd049"),
+    ("orbits --degree 12 --format json", "66bca2f05fe16c882572c94a1d17389c0561c790616cbf10853c7b494596d566"),
+    ("genus --g 4 --order 12 --format json", "995e45a0749fb13b8f79254f20dd46576842525b098e582f874734cda13c6d2d"),
 ]
 
 
@@ -467,6 +470,20 @@ def test_orbits_bad_degree(capsys):
     assert code == 2
 
 
+def test_orbit_listing_labels_each_value_multiset_once(capsys, monkeypatch):
+    calls = []
+    label = counting.shape_label
+
+    def counted(config):
+        calls.append(config)
+        return label(config)
+
+    monkeypatch.setattr(counting, "shape_label", counted)
+    assert cli.main(["orbits", "--degree", "12", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2045
+    assert len(calls) == len({tuple(sorted(c)) for c in calls}) == 38
+
+
 @pytest.mark.parametrize("degree", ["18", "40"])
 def test_orbits_degree_past_listing_limit_is_usage_error(capsys, degree):
     # rejected before enumerating: degree 40 once ran until killed, and
@@ -511,6 +528,13 @@ def test_verify_check_ids_are_unique():
     # benchmark's verify workload expects exactly 42 checks
     ids = [f"{suite}:{name}" for suite, name, _, _ in verify.CHECKS]
     assert len(set(ids)) == len(ids) == 42
+
+
+def test_verify_checks_are_grouped_in_suite_order():
+    # run_suite reads CHECKS in one pass, so its grouping is the output order
+    suites = [suite for suite, _, _, _ in verify.CHECKS]
+    assert suites == sorted(suites, key=SUITES.index)
+    assert [suites.count(suite) for suite in SUITES] == [5, 13, 9, 5, 10]
 
 
 def test_verify_output_is_deterministic(capsys):

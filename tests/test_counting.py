@@ -119,6 +119,16 @@ def test_min_genus_matches_valuation():
             assert series.valuation() == h - 1, cfg
 
 
+def test_profiles_with_the_same_values_share_shape_and_series():
+    # the product formula reads only the value multiset of an admissible profile
+    first = {}
+    for degree in (4, 6, 8):
+        for cfg in kummer.admissible_profiles(degree):
+            got = (counting.shape_label(cfg), counting.f_gk(cfg, 12).series)
+            assert first.setdefault(tuple(sorted(cfg)), got) == got, cfg
+    assert len(first) == 12
+
+
 def test_smooth_genus_bound():
     assert counting.smooth_genus_bound() == 5
     # maximal case: the complement of eps0 (P + eps0 is everything)

@@ -135,6 +135,11 @@ def test_coset_tables():
     assert max(esizes + osizes) == 12
 
 
+def test_coset_members_rejects_unknown_coset():
+    with pytest.raises(DomainError, match="coset must be 'even' or 'odd'"):
+        kummer.coset_members("bogus")
+
+
 def test_admissible_matches_affine_indicator_on_every_mask():
     for m in range(1 << 16):
         if kummer.in_Pi3(m ^ kummer.EPS0_MASK):
