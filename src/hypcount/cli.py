@@ -43,10 +43,11 @@ GENUS_MAX = 12
 GENUS_MAX_LISTED = 7
 
 # Largest truncation order.  `cache --action write` builds every named form;
-# in a fresh process on the same VM it took 0.32 s at order 1024, 0.86 s at
-# 2048, 3.2 s at 4096, 12 s at 8192 (31 MB) and 57 s at 16384 (56 MB),
-# about 4x per doubling.  Past the limit a command would run for minutes
-# instead of failing at once.
+# in a fresh process on the same VM it took 0.21 s at order 1024, 0.36 s at
+# 2048, 0.89 s at 4096 and 3.3 s at 8192 (32 MB), medians of three, about
+# 3.5x per doubling; building its forms at 16384 took 12 s (62 MB), most of
+# it `legendre`.  A deep MacMahon index (`series --name A --k 127`) still
+# costs far more per order, so the limit is unchanged.
 ORDER_MAX = 8192
 
 

@@ -186,8 +186,12 @@ def pochhammer(sign: int, scale: int, order: int) -> Series:
 @lru_cache(maxsize=None)
 def delta_inv_times_q(order: int) -> Series:
     """q/Delta(q) = prod (1-q^k)^(-24): the rational-curve count series for
-    K3 surfaces, with prefix 1 + 24q + 324q^2 + 3200q^3."""
-    return (pochhammer(1, 1, order) ** 24).invert()
+    K3 surfaces, with prefix 1 + 24q + 324q^2 + 3200q^3.
+
+    (q;q)oo has O(sqrt(order)) nonzero terms, so its -24th power by Miller's
+    recurrence takes O(order^1.5) coefficient products, against O(order^2)
+    for the dense inverse of (q;q)oo^24 (see the fps kernel comment)."""
+    return pochhammer(1, 1, order) ** -24
 
 
 @lru_cache(maxsize=None)

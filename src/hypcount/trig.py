@@ -139,8 +139,11 @@ def andrews_rose_H(order: int, xdeg: int) -> tuple:
 
 
 def andrews_rose_G(order: int, xdeg: int) -> tuple:
-    """G(x,q) = ((q;q)oo / (-q;q)oo) * sum_k C_k(q) x^(2k)."""
-    prefac = qforms.pochhammer(1, 1, order) * qforms.pochhammer(-1, 1, order).invert()
+    """G(x,q) = ((q;q)oo / (-q;q)oo) * sum_k C_k(q) x^(2k).
+
+    (-q;q)oo = (q^2;q^2)oo / (q;q)oo, so the prefactor is
+    (q;q)oo^2 / (q^2;q^2)oo: a sparse divisor, not a dense one."""
+    prefac = qforms.pochhammer(1, 1, order) ** 2 * qforms.pochhammer(1, 2, order) ** -1
     cols = [Series.zero(order) for _ in range(xdeg + 1)]
     for k in range(0, xdeg // 2 + 1):
         cols[2 * k] = prefac * qforms.macmahon_C(k, order)

@@ -115,6 +115,7 @@ README_PINS = [
 LAYOUT_PINS = [
     ("series --name A --k 2 --order 10 --format json", "0e144287aaa97e19d056f886ea7d816613360876795df7e3b6e539a4bdc35e77"),
     ("series --name delta_inv --order 8 --format csv", "d5a7fd04b8822e3b1bbdc9a0ecd270df0132c55eabfebaeda8dcef865812ea58"),
+    ("series --name delta_inv --order 2048 --format json", "bd56e9231f7c1f4da024b934ca5950e508fe1c45c4ebb3558d2e369affe5a212"),
     ("fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --order 12 --format json", "01338a4d061e40eed1842f5e0f426dc2c1fb7ebf7844efa12d9d4ec33bc87aaa"),
     ("fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --order 12 --format csv", "ccadbb7e8c9589851a43d623ab0143b86315189cb2920219ceedf843caf580ea"),
     ("fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --order 12", "f0e1e7f05a9ba61fc7b36e0aecd3641b9cd8bfc60e0af2a3fe6677a0a0a575a6"),

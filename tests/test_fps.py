@@ -195,6 +195,20 @@ def test_series_times_fraction_matches_termwise(scalar):
             assert not any(c.endswith("/1") for c in got.to_json()["coeffs"])
 
 
+def test_series_times_exact_fraction_stays_in_ints():
+    # every c * p divisible by the denominator: int coefficients, no Fractions
+    for s, scalar, want in [
+        (S(6, -12, 0, 30, order=3), Fraction(1, 6), [1, -2, 0, 5]),
+        (S(Fraction(3, 2), 3, order=1), Fraction(2, 3), [1, 2]),
+        (S(4, 2, order=1), Fraction(-3, 2), [-6, -3]),
+    ]:
+        got = s * scalar
+        assert list(got.coeffs) == want
+        assert all(type(c) is int for c in got.coeffs)
+    mixed = S(6, 3, order=1) * Fraction(1, 6)
+    assert list(mixed.coeffs) == [1, Fraction(1, 2)] and type(mixed[0]) is int
+
+
 def rational_product(a: Series, b: Series):
     """Coefficient-wise Fraction product of two aligned series."""
     order = min(a.order, b.order)
@@ -260,6 +274,22 @@ sparse_tails = st.builds(
 def test_invert_matches_rational_recursion_hypothesis(a0, tail):
     s = Series([a0] + tail, len(tail))
     assert list(s.invert().coeffs) == rational_inverse(s.coeffs, s.order)
+
+
+@derandomized
+@given(st.integers(1, 30), st.sampled_from([1, -1, 2, 3, -5, Fraction(3, 2)]),
+       st.lists(fraction, max_size=30) | sparse_tails)
+def test_negative_power_is_power_of_inverse(k, a0, tail):
+    # sparse tails take Miller's recurrence, dense ones the inverse's k-th power
+    s = Series([a0] + tail, len(tail))
+    assert s ** -k == s.invert() ** k
+
+
+@derandomized
+@given(st.integers(-1000, -1), sparse_tails)
+def test_negative_power_of_sparse_zero_constant_raises(k, tail):
+    with pytest.raises(ZeroConstantTerm):
+        Series([0] + tail, len(tail)) ** k
 
 
 def test_invert_roundtrip_order_1024():

@@ -190,6 +190,16 @@ def test_delta_inv_prefix_and_oracle():
     assert d[4] == 25650
 
 
+def test_delta_inv_brute_order_64():
+    assert qforms.delta_inv_times_q(64) == delta_inv_brute(64)
+
+
+def test_delta_inv_matches_dense_inverse_of_eta24():
+    # the dense route, (q;q)^24 inverted term by term, is the oracle
+    order = 400
+    assert qforms.delta_inv_times_q(order) == (qforms.pochhammer(1, 1, order) ** 24).invert()
+
+
 def test_delta_inverse_pair():
     order = 24
     eta24 = qforms.pochhammer(1, 1, order) ** 24

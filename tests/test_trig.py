@@ -95,6 +95,13 @@ def test_H_x1_coefficient():
     assert H[1] == qforms.pochhammer(1, 2, 16) ** 3  # A_0 = 1 term
 
 
+def test_G_x0_coefficient_is_pochhammer_quotient():
+    # C_0 = 1 leaves the prefactor (q;q) / (-q;q), here by the dense inverse
+    order = 64
+    want = qforms.pochhammer(1, 1, order) * qforms.pochhammer(-1, 1, order).invert()
+    assert trig.andrews_rose_G(order, 2)[0] == want
+
+
 # -- lattice-sum route -----------------------------------------------------------
 
 
