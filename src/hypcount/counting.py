@@ -57,7 +57,13 @@ def _factors(config):
 
 def shape_label(config) -> str:
     """Multiset of named factors, e.g. ``E^2``, ``A1(u^4)*C1(u^2)``, ``1``."""
-    epow, factors = _factors(config)
+    return _label(tuple(sorted(config)))
+
+
+@lru_cache(maxsize=None)
+def _label(values) -> str:
+    # _factors reads only the value multiset, so each is labelled once
+    epow, factors = _factors(values)
     parts = [] if epow < 1 else ["E" if epow == 1 else f"E^{epow}"]
     parts += [name if mult == 1 else f"{name}^{mult}" for name, _, _, mult in factors]
     return "*".join(parts) or "1"
@@ -108,6 +114,18 @@ def f_gk(config, order: int) -> CountSeries:
     return CountSeries(config, coset, acc)
 
 
+@lru_cache(maxsize=None)
+def _block_power(kind: str, kv: int, mult: int, order: int):
+    """Theta-block column kv to the power mult; None past the last column."""
+    block = trig.theta_block(kind, order)
+    if kv >= len(block):
+        return None
+    power = block[kv]
+    for _ in range(mult - 1):
+        power = power * block[kv]
+    return power
+
+
 def f_gk_via_potential(config, order: int) -> Series:
     """Same coefficient via the orbifold potential: sum over the Pi_3
     classes eta and both cosets of the theta-block product, extracting the
@@ -115,13 +133,12 @@ def f_gk_via_potential(config, order: int) -> Series:
 
     Parity kills every class except eta = P + eps_i (h blocks are odd in x,
     g blocks even), so only those classes are assembled; an inadmissible
-    profile finds no class at all and returns zero.
+    profile finds no class at all and returns zero.  The (block, x-degree)
+    picks are read point by point; each distinct block power is built once.
     """
     config = tuple(config)
     _check_profile(config)
     P = kummer.odd_support(config)
-    h_block = trig.theta_block("h", order)
-    g_block = trig.theta_block("g", order)
     yz = qforms.delta_inv_times_q(order).compose_monomial(2)
     pi3 = kummer.pi3_members()
     acc = Series.zero(order)
@@ -130,13 +147,14 @@ def f_gk_via_potential(config, order: int) -> Series:
         if eta not in pi3:
             continue
         term = yz.shift(kummer.mask_size(P) // 2 - 2)
-        for v, kv in enumerate(config):
-            block = h_block if P >> v & 1 else g_block
+        picks = Counter(("h" if P >> v & 1 else "g", kv) for v, kv in enumerate(config))
+        for (kind, kv), mult in picks.items():
+            power = _block_power(kind, kv, mult, order)
             # x-degrees past the block's last column have zero coefficient
-            if kv >= len(block) or block[kv].is_zero():
+            if power is None or power.is_zero():
                 term = Series.zero(order)
                 break
-            term = term * block[kv]
+            term = term * power
         acc = acc + term
     return acc
 
@@ -180,14 +198,9 @@ def gottsche_reconcile(order: int) -> bool:
 
 def _orbit_rows(orbits, shape_series=None):
     """One listing row per enumerated orbit class, built only when read: its
-    fields, its shape and, if shape_series maps shapes to it, the series JSON.
-    The shape depends on the value multiset only, so each is labelled once."""
-    shapes = {}
+    fields, its shape and, if shape_series maps shapes to it, the series JSON."""
     for orbit in orbits:
-        values = tuple(sorted(orbit.rep))
-        shape = shapes.get(values)
-        if shape is None:
-            shape = shapes[values] = shape_label(orbit.rep)
+        shape = shape_label(orbit.rep)
         yield {**orbit.to_json(), "shape": shape, **(shape_series[shape] if shape_series else {})}
 
 

@@ -91,11 +91,11 @@ def in_Pi3(mask: int) -> bool:
     """
     mask &= FULL_MASK
     lin = mask ^ (-(mask & 1) & FULL_MASK)
-    span = 0
-    for i, half in enumerate(_HALVES):
-        if lin >> (1 << i) & 1:
-            span ^= half
-    return lin == span
+    h0, h1, h2, h3 = _HALVES
+    return lin == (
+        (-(lin >> 1 & 1) & h0) ^ (-(lin >> 2 & 1) & h1)
+        ^ (-(lin >> 4 & 1) & h2) ^ (-(lin >> 8 & 1) & h3)
+    )
 
 
 def affine_threeplanes() -> list:

@@ -36,7 +36,8 @@ def sigma1(n: int) -> int:
     if n < len(_sigma_table):
         return _sigma_table[n]
     total = 0
-    for d in range(1, isqrt(n) + 1):
+    # an odd n has only odd divisors
+    for d in range(1, isqrt(n) + 1, 1 + n % 2):
         if n % d == 0:
             total += d
             if d != n // d:

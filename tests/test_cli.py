@@ -473,13 +473,14 @@ def test_orbits_bad_degree(capsys):
 
 def test_orbit_listing_labels_each_value_multiset_once(capsys, monkeypatch):
     calls = []
-    label = counting.shape_label
+    factors = counting._factors
 
     def counted(config):
         calls.append(config)
-        return label(config)
+        return factors(config)
 
-    monkeypatch.setattr(counting, "shape_label", counted)
+    counting._label.cache_clear()
+    monkeypatch.setattr(counting, "_factors", counted)
     assert cli.main(["orbits", "--degree", "12", "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 2045
     assert len(calls) == len({tuple(sorted(c)) for c in calls}) == 38

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypcount.errors import DomainError
 from hypcount.fps import Series
@@ -95,6 +96,63 @@ def test_routes_agree_exhaustively_small():
     for degree in (4, 6):
         for cfg in kummer.admissible_profiles(degree):
             assert counting.f_gk(cfg, 10).series == counting.f_gk_via_potential(cfg, 10)
+
+
+def potential_per_point(config, order):
+    """The potential route with one series product per point: the reference
+    for the grouped products of f_gk_via_potential."""
+    config = tuple(config)
+    counting._check_profile(config)
+    P = kummer.odd_support(config)
+    h_block = trig.theta_block("h", order)
+    g_block = trig.theta_block("g", order)
+    yz = qforms.delta_inv_times_q(order).compose_monomial(2)
+    acc = Series.zero(order)
+    for eps in (kummer.EPS0_MASK, kummer.EPS1_MASK):
+        if P ^ eps not in kummer.pi3_members():
+            continue
+        term = yz.shift(kummer.mask_size(P) // 2 - 2)
+        for v, kv in enumerate(config):
+            block = h_block if P >> v & 1 else g_block
+            if kv >= len(block) or block[kv].is_zero():
+                term = Series.zero(order)
+                break
+            term = term * block[kv]
+        acc = acc + term
+    return acc
+
+
+ADMISSIBLE = sorted(kummer.coset_members("even") + kummer.coset_members("odd"))
+
+
+@st.composite
+def admissible_profiles(draw):
+    """Entries 0..7 whose odd ones sit exactly on an admissible support, with
+    at most two points raised past 1 so that most series are nonzero."""
+    P = draw(st.sampled_from(ADMISSIBLE))
+    raised = draw(st.dictionaries(st.integers(0, 15), st.integers(1, 3), max_size=2))
+    return tuple((P >> v & 1) + 2 * raised.get(v, 0) for v in range(16))
+
+
+def potential_or_rejection(route, config, order):
+    try:
+        return route(config, order)
+    except DomainError:
+        return "rejected"
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.one_of(st.tuples(*[st.integers(0, 7)] * 16), admissible_profiles()),
+    st.integers(4, 14),
+)
+@example(profile((0, 4, 8)), 10)  # odd total
+@example(profile(COLUMN0), 10)  # inadmissible
+@example(profile(ROW0, extra=[(0, 6), (1, 6)]), 4)  # past both blocks' last columns
+@example(profile(EPS1, extra=[(5, 6), (6, 6), (1, 2), (2, 2)]), 14)  # repeated picks
+def test_grouped_potential_route_matches_per_point_products(config, order):
+    got = potential_or_rejection(counting.f_gk_via_potential, config, order)
+    assert got == potential_or_rejection(potential_per_point, config, order)
 
 
 # -- minimal genus and bounds --------------------------------------------------------

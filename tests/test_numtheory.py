@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypcount.errors import DomainError
 from hypcount.fps import Series
@@ -63,6 +64,36 @@ def test_sigma1_multiplicative():
             continue
         assert sigma1(m * n) == sigma1(m) * sigma1(n)
         done += 1
+
+
+def sigma1_by_factoring(n):
+    """prod (p^(e+1) - 1)/(p - 1) over the prime powers p^e exactly dividing n."""
+    total, p = 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        total *= (p ** (e + 1) - 1) // (p - 1)
+        p += 1
+    return total * (n + 1 if n > 1 else 1)
+
+
+odd_n = st.integers(10**6 // 2, (10**9 - 1) // 2).map(lambda m: 2 * m + 1)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        odd_n,
+        st.integers(500, 15_810).map(lambda k: (2 * k + 1) ** 2),  # odd squares: d == n // d once
+        st.integers(1, 10).flatmap(  # 2^a times an odd number
+            lambda a: st.integers(10**6 >> (a + 1), (10**9 >> a) // 2 - 1).map(lambda m: (2 * m + 1) << a)
+        ),
+    )
+)
+def test_sigma1_above_the_sieve_matches_factorisation(n):
+    assert sigma1(n) == sigma1_by_factoring(n)
 
 
 def test_sigma1_halving_examples():
