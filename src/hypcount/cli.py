@@ -42,12 +42,11 @@ DEFAULT_ORDER = 32
 GENUS_MAX = 12
 GENUS_MAX_LISTED = 7
 
-# Largest truncation order.  `cache --action write` builds every named form;
-# in a fresh process on the same VM it took 0.21 s at order 1024, 0.36 s at
-# 2048, 0.89 s at 4096 and 3.3 s at 8192 (32 MB), medians of three, about
-# 3.5x per doubling; building its forms at 16384 took 12 s (62 MB), most of
-# it `legendre`.  A deep MacMahon index (`series --name A --k 127`) still
-# costs far more per order, so the limit is unchanged.
+# Largest truncation order.  `cache --action write` builds every named form: in a
+# fresh process (2 vCPUs) it took 0.15 s at order 1024, 0.22 s at 2048, 0.49 s at
+# 4096 and 1.2 s at 8192 (33 MB), medians of three; at 16384 the forms took 3.5 s
+# (61 MB), most of it `delta_inv` and the MacMahon recursions.  A deep MacMahon
+# index (`series --name A --k 127`) costs far more per order, so the limit stays.
 ORDER_MAX = 8192
 
 
@@ -249,6 +248,8 @@ def _load_cached(stored: str):
     for key in ("name", "params", "order", "coeffs"):
         if key not in data:
             raise ValueError(f"missing key {key!r}")
+    if not isinstance(data["name"], str):
+        raise ValueError("name must be a string")
     params, order = data["params"], data["order"]
     if not (isinstance(params, list) and len(params) <= 1
             and all(type(p) is int for p in params)):
@@ -256,7 +257,7 @@ def _load_cached(stored: str):
     if type(order) is not int or not 0 <= order <= ORDER_MAX:
         raise ValueError(f"order must be an integer between 0 and {ORDER_MAX}")
     coeffs = data["coeffs"]
-    if not (isinstance(coeffs, list) and all(type(c) is str for c in coeffs)):
+    if not (isinstance(coeffs, list) and set(map(type, coeffs)) <= {str}):
         raise ValueError("coeffs must be a list of strings")
     try:
         form = qforms.named_form(

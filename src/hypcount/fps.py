@@ -432,8 +432,6 @@ class Series:
     def to_json(self) -> dict:
         # the first key, once an exponent denominator, stays so that existing
         # cache files and output digests remain valid
-        return {
-            "denom": 1,
-            "order": self.order,
-            "coeffs": [_rat_str(c) for c in self.coeffs],
-        }
+        coeffs = self.coeffs
+        to_str = str if set(map(type, coeffs)) <= {int} else _rat_str  # equal on ints
+        return {"denom": 1, "order": self.order, "coeffs": list(map(to_str, coeffs))}

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .errors import DomainError
 from .fps import Series
@@ -116,8 +117,9 @@ def macmahon_A_recursive(k: int, order: int) -> Series:
     if k == 1:
         return series_A1(order)
     prev = macmahon_A_recursive(k - 1, order)
-    num = (series_A1(order) * 6 + k * (k - 1)) * prev - prev.qderiv() * 2
-    return num * Fraction(1, (2 * k + 1) * 2 * k)
+    prod, c = (series_A1(order) * prev).coeffs, k * (k - 1)
+    num = [6 * p + (c - 2 * n) * a for n, (p, a) in enumerate(zip(prod, prev.coeffs))]
+    return Series(num, order) * Fraction(1, (2 * k + 1) * 2 * k)
 
 
 @lru_cache(maxsize=None)
@@ -130,9 +132,9 @@ def macmahon_C_recursive(k: int, order: int) -> Series:
         a1 = series_A1(order)
         return a1 - a1.compose_monomial(2)
     prev = macmahon_C_recursive(k - 1, order)
-    c1 = macmahon_C_recursive(1, order)
-    num = (c1 * 2 + (k - 1) ** 2) * prev - prev.qderiv()
-    return num * Fraction(1, 2 * k * (2 * k - 1))
+    prod, c = (macmahon_C_recursive(1, order) * prev).coeffs, (k - 1) ** 2
+    num = [2 * p + (c - n) * a for n, (p, a) in enumerate(zip(prod, prev.coeffs))]
+    return Series(num, order) * Fraction(1, 2 * k * (2 * k - 1))
 
 
 def macmahon_A(k: int, order: int) -> Series:
@@ -196,9 +198,9 @@ def delta_inv_times_q(order: int) -> Series:
 
 @lru_cache(maxsize=None)
 def legendre_series(order: int) -> Series:
-    """((q;q)oo (-q;q)oo^2)^4, which equals sum sigma_1(2k+1) q^k."""
-    minus = pochhammer(-1, 1, order)
-    return (pochhammer(1, 1, order) * minus * minus) ** 4
+    """((q;q)oo (-q;q)oo^2)^4 = sum sigma_1(2k+1) q^k, built as psi(q)^4: by the
+    Jacobi triple product (q;q)oo (-q;q)oo^2 = psi(q) = sum_{n>=0} q^(n(n+1)/2)."""
+    return Series.from_terms({n * (n + 1) // 2: 1 for n in range(isqrt(2 * order) + 1)}, order) ** 4
 
 
 @lru_cache(maxsize=None)
@@ -211,11 +213,7 @@ def theta2_fourth(order: int) -> Series:
     (The one-sided sum fails the required sixteenth-of-E identity by a
     factor 16 already at q^1.)
     """
-    terms, k = {}, 0
-    while k * k + k <= order:
-        terms[k * k + k] = 2
-        k += 1
-    return (Series.from_terms(terms, order) ** 4).shift(1)
+    return (Series.from_terms({k * k + k: 2 for k in range(isqrt(order) + 1)}, order) ** 4).shift(1)
 
 
 # ---------------------------------------------------------------------------

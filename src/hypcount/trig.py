@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 from .errors import BoundTooSmall, DomainError
 from .fps import Series
@@ -129,8 +129,10 @@ def theta_block_q(kind: str, order: int, xdeg: int | None = None) -> tuple:
 
 
 def andrews_rose_H(order: int, xdeg: int) -> tuple:
-    """H(x,q) = (q^2;q^2)oo^3 * sum_k A_k(q^2) x^(2k+1)."""
-    prefac = qforms.pochhammer(1, 2, order) ** 3
+    """H(x,q) = (q^2;q^2)oo^3 * sum_k A_k(q^2) x^(2k+1); the prefactor is Jacobi's
+    (q;q)oo^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2) at q^2."""
+    terms = {n * n + n: (-1) ** n * (2 * n + 1) for n in range(isqrt(order) + 1)}
+    prefac = Series.from_terms(terms, order)
     cols = [Series.zero(order) for _ in range(xdeg + 1)]
     for k in range(0, (xdeg - 1) // 2 + 1):
         ak = qforms.macmahon_A(k, order).compose_monomial(2)
@@ -139,11 +141,10 @@ def andrews_rose_H(order: int, xdeg: int) -> tuple:
 
 
 def andrews_rose_G(order: int, xdeg: int) -> tuple:
-    """G(x,q) = ((q;q)oo / (-q;q)oo) * sum_k C_k(q) x^(2k).
-
-    (-q;q)oo = (q^2;q^2)oo / (q;q)oo, so the prefactor is
-    (q;q)oo^2 / (q^2;q^2)oo: a sparse divisor, not a dense one."""
-    prefac = qforms.pochhammer(1, 1, order) ** 2 * qforms.pochhammer(1, 2, order) ** -1
+    """G(x,q) = ((q;q)oo / (-q;q)oo) * sum_k C_k(q) x^(2k); the prefactor is Gauss's
+    phi(-q) = (q;q)oo^2 / (q^2;q^2)oo = 1 + 2 sum_{n>=1} (-1)^n q^(n^2)."""
+    terms = {n * n: (-1) ** n * (2 if n else 1) for n in range(isqrt(order) + 1)}
+    prefac = Series.from_terms(terms, order)
     cols = [Series.zero(order) for _ in range(xdeg + 1)]
     for k in range(0, xdeg // 2 + 1):
         cols[2 * k] = prefac * qforms.macmahon_C(k, order)

@@ -130,6 +130,8 @@ LAYOUT_PINS = [
     ("orbits --degree 10 --format csv", "a3d27d3e691c0a604c955a42392465f0fac1744299991acd90ee4f0963ffd049"),
     ("orbits --degree 12 --format json", "66bca2f05fe16c882572c94a1d17389c0561c790616cbf10853c7b494596d566"),
     ("genus --g 4 --order 12 --format json", "995e45a0749fb13b8f79254f20dd46576842525b098e582f874734cda13c6d2d"),
+    ("series --name legendre --order 2048 --format json", "fd7e510aecf0069eb6d93e8c5862e38a0b9e79276a583f6ee0a2f524ae5d842a"),
+    ("series --name E2 --order 64 --format json", "2dc3221809a255fc8b6337eb2f0c9041fc45b90f54f417fdd16f69325947d0c7"),
 ]
 
 
@@ -667,6 +669,8 @@ def test_cache_write_is_byte_stable(capsys, tmp_path):
         (b"\xff\xfe{", "'utf-8' codec can't decode"),
         ('{"name": "E", "params": [3], "order": 8, "coeffs": []}', "form E takes no index"),
         ('{"name": "E", "params": [], "order": 8, "coeffs": [0]}', "coeffs must be a list of strings"),
+        ('{"name": ["A"], "params": [], "order": 4, "coeffs": ["1"]}', "name must be a string"),
+        ('{"name": {"A": 1}, "params": [], "order": 4, "coeffs": ["1"]}', "name must be a string"),
     ],
 )
 def test_cache_check_reports_invalid_files(capsys, tmp_path, text, reason):

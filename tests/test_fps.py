@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypcount.errors import NonzeroConstantTerm, ZeroConstantTerm
-from hypcount.fps import KRONECKER_MIN, Series, _int_mul, _kron_mul, _school_mul
+from hypcount.fps import KRONECKER_MIN, Series, _int_mul, _kron_mul, _rat_str, _school_mul
 from hypcount.qforms import pochhammer
 
 
@@ -420,6 +420,18 @@ def test_json_roundtrip():
     s = S(1, Fraction(-3, 2), 0, 7, order=5)
     assert s.to_json()["coeffs"] == ["1", "-3/2", "0", "7", "0", "0"]
     assert s.to_json()["denom"] == 1  # kept so existing files stay valid
+
+
+proper_fraction = fraction.filter(lambda c: c.denominator != 1)
+
+
+@derandomized
+@given(st.lists(coefficient, max_size=40) | st.lists(proper_fraction, max_size=40)
+       | st.lists(coefficient | proper_fraction, max_size=40))
+def test_to_json_coeffs_match_rat_str_hypothesis(coeffs):
+    # int-only series take the map(str, ...) path, any Fraction the _rat_str one
+    s = Series(coeffs)
+    assert s.to_json()["coeffs"] == [_rat_str(c) for c in s.coeffs]
 
 
 def test_getitem_rejects_phantom_tail():

@@ -3,6 +3,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypcount.errors import DomainError
 from hypcount.fps import Series
@@ -232,6 +233,29 @@ def test_legendre_fourth_power():
     assert [got[k] for k in range(5)] == [1, 4, 6, 8, 13]
     want = Series([sigma1(2 * k + 1) for k in range(order + 1)], order)
     assert got == want
+
+
+def legendre_by_products(order):
+    # the Pochhammer route, ((q;q)(-q;q)^2)^4, as an oracle for psi(q)^4
+    minus = qforms.pochhammer(-1, 1, order)
+    return (qforms.pochhammer(1, 1, order) * minus * minus) ** 4
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 300))
+@example(0)
+@example(1)
+@example(2)
+@example(1024)
+def test_legendre_matches_pochhammer_route(order):
+    assert qforms.legendre_series(order) == legendre_by_products(order)
+
+
+@pytest.mark.parametrize("build", [qforms.macmahon_A, qforms.macmahon_C], ids=["A", "C"])
+def test_recursions_return_int_coefficients(build):
+    # every division in the recursion step is exact, so no Fraction survives
+    for k in range(7):
+        assert set(map(type, build(k, 256).coeffs)) == {int}
 
 
 def test_theta2_fourth_leading():

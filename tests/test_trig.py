@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypcount.errors import BoundTooSmall
 from hypcount.fps import Series
@@ -100,6 +101,27 @@ def test_G_x0_coefficient_is_pochhammer_quotient():
     order = 64
     want = qforms.pochhammer(1, 1, order) * qforms.pochhammer(-1, 1, order).invert()
     assert trig.andrews_rose_G(order, 2)[0] == want
+
+
+def prefactors_by_products(order):
+    # the Pochhammer routes, (q^2;q^2)^3 for H and (q;q)^2 / (q^2;q^2) for G
+    even = qforms.pochhammer(1, 2, order)
+    return even ** 3, qforms.pochhammer(1, 1, order) ** 2 * even ** -1
+
+
+def prefactors(order):
+    # A_0 = C_0 = 1, so the lowest column of each expansion is its prefactor
+    return trig.andrews_rose_H(order, 1)[1], trig.andrews_rose_G(order, 0)[0]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 300))
+@example(0)
+@example(1)
+@example(2)
+@example(1024)
+def test_prefactors_match_pochhammer_routes(order):
+    assert prefactors(order) == prefactors_by_products(order)
 
 
 # -- lattice-sum route -----------------------------------------------------------
