@@ -432,6 +432,5 @@ class Series:
     def to_json(self) -> dict:
         # the first key, once an exponent denominator, stays so that existing
         # cache files and output digests remain valid
-        coeffs = self.coeffs
-        to_str = str if set(map(type, coeffs)) <= {int} else _rat_str  # equal on ints
-        return {"denom": 1, "order": self.order, "coeffs": list(map(to_str, coeffs))}
+        # coefficients are ints or Fractions with denominator > 1, so str writes n/d
+        return {"denom": 1, "order": self.order, "coeffs": list(map(str, self.coeffs))}

@@ -429,7 +429,7 @@ proper_fraction = fraction.filter(lambda c: c.denominator != 1)
 @given(st.lists(coefficient, max_size=40) | st.lists(proper_fraction, max_size=40)
        | st.lists(coefficient | proper_fraction, max_size=40))
 def test_to_json_coeffs_match_rat_str_hypothesis(coeffs):
-    # int-only series take the map(str, ...) path, any Fraction the _rat_str one
+    # to_json writes str(c); for normalised coefficients that is _rat_str's n/d
     s = Series(coeffs)
     assert s.to_json()["coeffs"] == [_rat_str(c) for c in s.coeffs]
 

@@ -91,37 +91,28 @@ def test_block_builders_return_series_of_the_requested_order(build):
 # -- Andrews-Rose expansions ----------------------------------------------------
 
 
-def test_H_x1_coefficient():
-    H = trig.andrews_rose_H(16, 3)
-    assert H[1] == qforms.pochhammer(1, 2, 16) ** 3  # A_0 = 1 term
+def over_prefactor_orders(test):
+    # A_0 = C_0 = 1 leave each prefactor in the lowest column; the Pochhammer
+    # routes are the oracles for its sparse theta sum, at orders 0, 1, 2, 16,
+    # 64 and 1024 and a derandomized sample up to 300
+    for order in (0, 1, 2, 16, 64, 1024):
+        test = example(order)(test)
+    return settings(derandomize=True, max_examples=30, deadline=None)(
+        given(st.integers(0, 300))(test)
+    )
 
 
-def test_G_x0_coefficient_is_pochhammer_quotient():
+@over_prefactor_orders
+def test_H_x1_coefficient(order):
+    H = trig.andrews_rose_H(order, 3)
+    assert H[1] == qforms.pochhammer(1, 2, order) ** 3  # A_0 = 1 term
+
+
+@over_prefactor_orders
+def test_G_x0_coefficient_is_pochhammer_quotient(order):
     # C_0 = 1 leaves the prefactor (q;q) / (-q;q), here by the dense inverse
-    order = 64
     want = qforms.pochhammer(1, 1, order) * qforms.pochhammer(-1, 1, order).invert()
     assert trig.andrews_rose_G(order, 2)[0] == want
-
-
-def prefactors_by_products(order):
-    # the Pochhammer routes, (q^2;q^2)^3 for H and (q;q)^2 / (q^2;q^2) for G
-    even = qforms.pochhammer(1, 2, order)
-    return even ** 3, qforms.pochhammer(1, 1, order) ** 2 * even ** -1
-
-
-def prefactors(order):
-    # A_0 = C_0 = 1, so the lowest column of each expansion is its prefactor
-    return trig.andrews_rose_H(order, 1)[1], trig.andrews_rose_G(order, 0)[0]
-
-
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(st.integers(0, 300))
-@example(0)
-@example(1)
-@example(2)
-@example(1024)
-def test_prefactors_match_pochhammer_routes(order):
-    assert prefactors(order) == prefactors_by_products(order)
 
 
 # -- lattice-sum route -----------------------------------------------------------
