@@ -301,8 +301,9 @@ def cmd_cache(args) -> tuple:
         except (OSError, ValueError) as exc:  # also a *.json directory
             lines.append(f"INVALID {entry}: {exc}")
             continue
-        fresh = _canonical_json(form.to_json())
-        if fresh != stored:
+        if entry != form.key() + ".json":
+            lines.append(f"MISMATCH {entry}: holds {form.key()}")
+        elif _canonical_json(form.to_json()) != stored:
             stored_coeffs = data["coeffs"]
             fresh_coeffs = form.to_json()["coeffs"]
             delta = next(
@@ -329,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--order", type=int, default=None, help="truncation order")
+    def add_common(p, order=True):
+        if order:
+            p.add_argument("--order", type=int, default=None, help="truncation order")
         p.add_argument(
             "--format", choices=("text", "json", "csv"), default="text"
         )
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbits", help="translation-orbit table for one degree")
     p.add_argument("--degree", type=int, required=True)
-    add_common(p)
+    add_common(p, order=False)
     p.set_defaults(fn=cmd_orbits)
 
     p = sub.add_parser("verify", help="run the identity suites")
@@ -382,12 +384,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "order", None) is None:
-            args.order = _env_order()
-        if args.order < 0:
-            raise DomainError("order must be >= 0")
-        if args.order > ORDER_MAX:
-            raise DomainError(f"order must be <= {ORDER_MAX}")
+        if "order" in args:  # every command but orbits
+            if args.order is None:
+                args.order = _env_order()
+            if args.order < 0:
+                raise DomainError("order must be >= 0")
+            if args.order > ORDER_MAX:
+                raise DomainError(f"order must be <= {ORDER_MAX}")
         text, code = args.fn(args)
         pieces = [text] if isinstance(text, str) else text
         if getattr(args, "out", None):

@@ -35,12 +35,6 @@ def _norm(c) -> Rational:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-def _rat_str(c: Rational) -> str:
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 # -- integer kernel ------------------------------------------------------------
 #
 # Products and inverses run on integer numerators over one common coefficient
@@ -416,7 +410,7 @@ class Series:
                 continue
             mono = "" if n == 0 else var if n == 1 else f"{var}^{n}"
             mag = abs(c)
-            coef = "" if (mag == 1 and mono) else _rat_str(mag)
+            coef = "" if (mag == 1 and mono) else str(mag)
             sign = "-" if c < 0 else "+"
             parts.append((sign, f"{coef}{mono}"))
         if not parts:

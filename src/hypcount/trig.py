@@ -248,6 +248,36 @@ def _transfer(k_out: int, k_in: int) -> Fraction | int:
     return c * Fraction(factorial(k_out), factorial(k_in)) if c else 0
 
 
+@lru_cache(maxsize=None)
+def _split_transfer(k_out: int, k_in: int) -> Fraction:
+    """The closed sum's per-point weight (-1/4)^l s(k_out, k_in), k_out = k_in + 2l."""
+    return odd_split_count(k_out, k_in) * Fraction(-1, 4) ** ((k_out - k_in) // 2)
+
+
+def _push(coeffs: dict, order: int, transfer) -> dict:
+    """The walker both routes share: each nonzero base within the order spreads
+    over even per-point shifts, weighted by transfer(k_out, k_in) per point."""
+    out: dict = {}
+    for base, gw in coeffs.items():
+        if gw == 0 or sum(base) > order:
+            continue
+        support = [v for v, kv in enumerate(base) if kv > 0]
+
+        def extend(idx: int, shifted: tuple, weight, budget: int):
+            if idx == len(support):
+                out[shifted] = out.get(shifted, 0) + weight
+                return
+            v = support[idx]
+            for l in range(0, budget // 2 + 1):
+                t = transfer(base[v] + 2 * l, base[v])
+                if t:
+                    nxt = shifted[:v] + (base[v] + 2 * l,) + shifted[v + 1:]
+                    extend(idx + 1, nxt, weight * t, budget - 2 * l)
+
+        extend(0, base, gw, order - sum(base))
+    return {k: w for k, w in out.items() if w}  # drop the entries that cancelled
+
+
 def sine_substitute(coeffs: dict, order: int) -> dict:
     """Push exponential coefficients through x_v = 2 sin(z_v/2).
 
@@ -257,66 +287,14 @@ def sine_substitute(coeffs: dict, order: int) -> dict:
     keeping |k'| <= order.  The substitution expands each variable
     independently, so the transfer factorizes over points.
     """
-    out: dict = {}
-    for base, gw in coeffs.items():
-        if gw == 0:
-            continue
-        room = order - sum(base)
-        if room < 0:
-            continue
-        support = [v for v, kv in enumerate(base) if kv > 0]
-
-        def extend(idx: int, shifted: tuple, weight, budget: int):
-            if idx == len(support):
-                if weight:
-                    out[shifted] = out.get(shifted, 0) + weight
-                    if out[shifted] == 0:
-                        del out[shifted]
-                return
-            v = support[idx]
-            for l in range(0, budget // 2 + 1):
-                t = _transfer(base[v] + 2 * l, base[v])
-                if t:
-                    nxt = list(shifted)
-                    nxt[v] = base[v] + 2 * l
-                    extend(idx + 1, tuple(nxt), weight * t, budget - 2 * l)
-
-        extend(0, base, gw, room)
-    return out
+    return _push(coeffs, order, _transfer)
 
 
 def sine_substitute_combinatorial(coeffs: dict, order: int) -> dict:
     """The same pushforward via the closed sum: the coefficient at k' is
     sum over shifts l of coeffs[k'-2l] * (-1/4)^|l| * prod s(k'(v), (k'-2l)(v)),
     with s the odd-block split count."""
-    out: dict = {}
-    quarter = Fraction(-1, 4)
-    for base, gw in coeffs.items():
-        if gw == 0:
-            continue
-        room = order - sum(base)
-        if room < 0:
-            continue
-        support = [v for v, kv in enumerate(base) if kv > 0]
-
-        def extend(idx: int, shifted: tuple, weight, total_l: int, budget: int):
-            if idx == len(support):
-                if weight:
-                    w = weight * quarter ** total_l
-                    out[shifted] = out.get(shifted, 0) + w
-                    if out[shifted] == 0:
-                        del out[shifted]
-                return
-            v = support[idx]
-            for l in range(0, budget // 2 + 1):
-                s = odd_split_count(base[v] + 2 * l, base[v])
-                if s:
-                    nxt = list(shifted)
-                    nxt[v] = base[v] + 2 * l
-                    extend(idx + 1, tuple(nxt), weight * s, total_l + l, budget - 2 * l)
-
-        extend(0, base, gw, 0, room)
-    return out
+    return _push(coeffs, order, _split_transfer)
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,23 @@ def test_orbits_bad_degree(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("env", ["x", "99999", "-1"])
+def test_orbits_ignores_order_environment(capsys, monkeypatch, env):
+    # orbits has no order, so a value that other commands reject is not read
+    monkeypatch.delenv("HYPCOUNT_ORDER", raising=False)
+    plain = run(capsys, "orbits", "--degree", "4")
+    monkeypatch.setenv("HYPCOUNT_ORDER", env)
+    assert run(capsys, "orbits", "--degree", "4") == plain
+    assert plain[0] == 0 and plain[1].startswith("degree 4: ")
+
+
+def test_orbits_rejects_order_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["orbits", "--degree", "4", "--order", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order 5" in capsys.readouterr().err
+
+
 def test_orbit_listing_labels_each_value_multiset_once(capsys, monkeypatch):
     calls = []
     factors = counting._factors
@@ -697,6 +714,19 @@ def test_cache_check_reports_coefficient_count_mismatch(capsys, tmp_path):
     assert code == 1
     assert out.splitlines() == [
         "MISMATCH E_o8.json: stored 5 coefficients, recomputed 9",
+        "checked 17 cached forms, 1 mismatched",
+    ]
+
+
+def test_cache_check_reports_form_stored_under_another_key(capsys, tmp_path):
+    # a valid file under another form's name would hand its readers the wrong form
+    cache = tmp_path / "forms"
+    run(capsys, "cache", "--action", "write", "--dir", str(cache), "--order", "8")
+    (cache / "A_3_o8.json").write_bytes((cache / "A_2_o8.json").read_bytes())
+    code, out, err = run(capsys, "cache", "--action", "check", "--dir", str(cache))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "MISMATCH A_3_o8.json: holds A_2_o8",
         "checked 17 cached forms, 1 mismatched",
     ]
 

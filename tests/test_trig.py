@@ -156,6 +156,14 @@ def test_substitute_single_variable_shift():
     assert out[(5,)] == Fraction(1, 16) * 1  # (-1/4)^2 s(5,1)
 
 
+def test_substitute_drops_cancelled_zero_and_over_order_entries():
+    # the z^3 terms of (1,) and (3,) cancel; the zero base and the base of
+    # total 4 > order are skipped, so only (1,) is left on both routes
+    data = {(1,): 1, (3,): Fraction(1, 4), (5,): 0, (2, 2): 7}
+    for route in (trig.sine_substitute, trig.sine_substitute_combinatorial):
+        assert route(data, 3) == {(1,): 1}
+
+
 def test_substitute_routes_agree_randomized():
     rng = random.Random(404)
     for _ in range(8):
