@@ -28,14 +28,15 @@ from .fps import Series
 from . import kummer, qforms, trig
 
 
+# compose_monomial(m) reads coefficients up to order // m only: padding is never read
 @lru_cache(maxsize=None)
 def _A_u4(j: int, order: int) -> Series:
-    return qforms.macmahon_A(j, order).compose_monomial(4)
+    return Series(qforms.macmahon_A(j, order // 4).coeffs, order).compose_monomial(4)
 
 
 @lru_cache(maxsize=None)
 def _C_u2(j: int, order: int) -> Series:
-    return qforms.macmahon_C(j, order).compose_monomial(2)
+    return Series(qforms.macmahon_C(j, order // 2).coeffs, order).compose_monomial(2)
 
 
 def _factors(config):
@@ -102,16 +103,19 @@ def f_gk(config, order: int) -> CountSeries:
     config = tuple(config)
     _check_profile(config)
     coset = kummer.admissible(kummer.odd_support(config))
-    if coset is None:
-        return CountSeries(config, None, Series.zero(order))
-    # an even total makes |P| even, and admissible supports have |P| >= 4
-    epow, factors = _factors(config)
+    series = _product(config, order) if coset else Series.zero(order)
+    return CountSeries(config, coset, series)
+
+
+def _product(values, order: int) -> Series:
+    """The product formula for an admissible profile's values, in any order."""
+    epow, factors = _factors(values)
     acc = qforms.series_E(order) ** epow
     for _, make, j, mult in factors:
         factor = make(j, order)
         for _ in range(mult):
             acc = acc * factor
-    return CountSeries(config, coset, acc)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +143,7 @@ def f_gk_via_potential(config, order: int) -> Series:
     config = tuple(config)
     _check_profile(config)
     P = kummer.odd_support(config)
-    yz = qforms.delta_inv_times_q(order).compose_monomial(2)
+    yz = Series(qforms.delta_inv_times_q(order // 2).coeffs, order).compose_monomial(2)
     pi3 = kummer.pi3_members()
     acc = Series.zero(order)
     for eps in (kummer.EPS0_MASK, kummer.EPS1_MASK):
@@ -256,15 +260,16 @@ class CountReport(namedtuple("CountReport", "genus order shapes total")):
 def genus_total(g: int, order: int) -> CountReport:
     """Aggregate the counting series over the translation-orbit classes at
     degree 2g + 2 (counting classes up to surface translation).  The classes
-    are counted per shape by Burnside's lemma, so f_gk runs once per shape."""
+    are counted per profile type (sorted values) by Burnside's lemma, so the
+    product formula runs once per type."""
     if g < 1:
         raise DomainError("genus must be >= 1")
-    # types and shapes correspond one to one by construction: shape_label
-    # reads only the type, and its label records the number of odd values
-    # (as the power of E) and every value other than 0 and 1
+    # types and shapes correspond one to one by construction: _label reads
+    # only the type, and its label records the number of odd values (as the
+    # power of E) and every value other than 0 and 1
     shapes = {
-        shape_label(rep): (count, f_gk(rep, order).series)
-        for rep, count in kummer.orbit_counts_by_type(2 * g + 2).items()
+        _label(values): (count, _product(values, order))
+        for values, count in kummer.orbit_counts_by_type(2 * g + 2).items()
     }
     total = Series.zero(order)
     for mult, series in shapes.values():

@@ -379,14 +379,12 @@ class Series:
         return self.coeffs[n]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return _valuation(self.coeffs) == len(self.coeffs)
 
     def valuation(self) -> int | None:
         """Lowest exponent with a nonzero coefficient, or None for 0."""
-        for n, c in enumerate(self.coeffs):
-            if c != 0:
-                return n
-        return None
+        n = _valuation(self.coeffs)
+        return n if n < len(self.coeffs) else None
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -365,22 +365,18 @@ def orbit_counts_by_type(degree: int) -> dict:
     Burnside's lemma gives its class count as (1/16) sum_t Fix(t), summed
     over the admissible supports P of that size: t = 0 fixes every ordering
     of the two multisets, and t != 0 fixes a profile only if it fixes P.
-    Returns {representative profile: class count}, one entry per type.
+    Returns {sorted values: class count}, one entry per type.
     """
     _check_degree(degree)
-    supports: dict = {}  # |P| -> [first P, number of P, sum over P of #{t != 0 fixing P}]
+    supports: dict = {}  # |P| -> [number of P, sum over P of #{t != 0 fixing P}]
     for P, _, stab in _support_classes():
         n_class = 16 // (len(stab) + 1)  # supports in the class, each fixed by stab
-        entry = supports.setdefault(mask_size(P), [P, 0, 0])
-        entry[1] += n_class
-        entry[2] += n_class * len(stab)
+        entry = supports.setdefault(mask_size(P), [0, 0])
+        entry[0] += n_class
+        entry[1] += n_class * len(stab)
     counts = {}
-    for size, (P, n_supports, n_fixing) in sorted(supports.items()):
-        if size > degree:
-            continue
-        inside = points_of_mask(P)
-        outside = points_of_mask(FULL_MASK ^ P)
-        spread = (degree - size) // 2
+    for size, (n_supports, n_fixing) in sorted(supports.items()):
+        spread = (degree - size) // 2  # negative, so no partitions, if |P| > degree
         for on_spread in range(spread + 1):
             for on in _partitions(on_spread, size):
                 for off in _partitions(spread - on_spread, 16 - size):
@@ -390,13 +386,10 @@ def orbit_counts_by_type(degree: int) -> dict:
                     off_mults = list(Counter(off_values).values())
                     fixed = n_supports * _multinomial(on_mults) * _multinomial(off_mults)
                     fixed += n_fixing * _fixed_by_translation(on_mults, off_mults)
+                    values = tuple(sorted(on_values + off_values))
                     if fixed % 16:
                         raise HypcountError(
-                            f"Burnside sum {fixed} for values {sorted(on_values + off_values)} "
-                            "is not divisible by 16"
+                            f"Burnside sum {fixed} for values {list(values)} is not divisible by 16"
                         )
-                    rep = [0] * 16
-                    for v, kv in zip(inside + outside, on_values + off_values):
-                        rep[v] = kv
-                    counts[tuple(rep)] = fixed // 16
+                    counts[values] = fixed // 16
     return counts

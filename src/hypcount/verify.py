@@ -403,10 +403,7 @@ def check_orbit_partition(order, rng):
     # the type of a profile is its value multiset; it fixes the shape
     for degree, orbits in by_degree.items():
         enumerated = Counter(tuple(sorted(o.rep)) for o in orbits)
-        burnside = {
-            tuple(sorted(rep)): n for rep, n in kummer.orbit_counts_by_type(degree).items()
-        }
-        if burnside != enumerated:
+        if kummer.orbit_counts_by_type(degree) != enumerated:
             return False, f"degree {degree}: Burnside class counts per type differ from enumeration"
     return True, (
         "orbit sizes partition the admissible profiles; Burnside class counts "

@@ -63,6 +63,43 @@ def test_fgk_double_triple_is_A1_squared():
     assert got.shape == "A1(u^4)^2"
 
 
+# -- factors built at the order they feed ----------------------------------------------
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(0, 300))
+@example(127)
+@example(1023)
+def test_factors_equal_full_order_compose(order):
+    # oracle: each MacMahon function built to the full order, then composed
+    for j in range(7):
+        assert counting._A_u4(j, order) == qforms.macmahon_A(j, order).compose_monomial(4)
+        assert counting._C_u2(j, order) == qforms.macmahon_C(j, order).compose_monomial(2)
+
+
+def test_factors_are_requested_at_the_order_they_feed(monkeypatch):
+    requested = {"A": [], "C": [], "delta": []}
+
+    def recording(key, build):
+        def wrapper(*args):
+            requested[key].append(args[-1])
+            return build(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(qforms, "macmahon_A", recording("A", qforms.macmahon_A))
+    monkeypatch.setattr(qforms, "macmahon_C", recording("C", qforms.macmahon_C))
+    monkeypatch.setattr(qforms, "delta_inv_times_q", recording("delta", qforms.delta_inv_times_q))
+    counting._A_u4.cache_clear()
+    counting._C_u2.cache_clear()
+    config = profile(ROW0, extra=[(0, 2), (4, 4), (1, 2)])  # A1(u^4) A2(u^4) C1(u^2)
+    counting.f_gk(config, 400)
+    counting.f_gk_via_potential(config, 40)
+    assert requested["A"] and max(requested["A"]) <= 100
+    assert requested["C"] and max(requested["C"]) <= 200
+    assert requested["delta"] and max(requested["delta"]) <= 20
+
+
 # -- the potential route -----------------------------------------------------------
 
 

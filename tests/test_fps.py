@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypcount.errors import NonzeroConstantTerm, ZeroConstantTerm
 from hypcount.fps import KRONECKER_MIN, Series, _int_mul, _kron_mul, _school_mul
@@ -400,6 +400,35 @@ def test_substitute_square_of_two_sin_half():
 def test_substitute_nonzero_constant_raises():
     with pytest.raises(NonzeroConstantTerm):
         S(1, 1, order=3).substitute(S(1, 1, order=3))
+
+
+# -- valuation and is_zero ----------------------------------------------------
+
+
+def scanned_valuation(s):
+    # reference: the per-coefficient loop these queries once ran
+    for n, c in enumerate(s.coeffs):
+        if c != 0:
+            return n
+    return None
+
+
+coefficient = st.one_of(
+    st.just(0), st.just(Fraction(0)), st.integers(-3, 3), st.fractions(-2, 2, max_denominator=5)
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.lists(coefficient, max_size=14))
+@example(0, [])
+@example(0, [0])
+@example(0, [Fraction(2, 3)])
+@example(6, [0, 0, 0])
+@example(5, [0, Fraction(0), 0, Fraction(-1, 3)])
+def test_valuation_and_is_zero_match_the_scan(order, coeffs):
+    s = Series(coeffs, order)
+    assert s.valuation() == scanned_valuation(s)
+    assert s.is_zero() == (scanned_valuation(s) is None)
 
 
 # -- ring axioms, serialization ----------------------------------------------

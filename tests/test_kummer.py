@@ -295,15 +295,13 @@ def test_orbits_reject_bad_degree():
 
 @pytest.mark.parametrize("degree", [4, 6, 8, 10, 12])
 def test_burnside_counts_equal_enumeration(degree):
-    from hypcount.counting import shape_label
-
-    enumerated = Counter(shape_label(o.rep) for o in kummer.translation_orbits(degree))
-    burnside = Counter()
-    for rep, n in kummer.orbit_counts_by_type(degree).items():
-        assert sum(rep) == degree
-        assert kummer.admissible(kummer.odd_support(rep)) is not None
-        burnside[shape_label(rep)] += n
-    assert burnside == enumerated
+    # a profile type is its sorted value tuple; the counts are keyed by it
+    burnside = kummer.orbit_counts_by_type(degree)
+    assert Counter(tuple(sorted(o.rep)) for o in kummer.translation_orbits(degree)) == burnside
+    for values in burnside:
+        assert list(values) == sorted(values) and sum(values) == degree
+        # the odd values sit on an admissible support, of size 4..12 and even
+        assert sum(kv % 2 for kv in values) in {4, 6, 8, 10, 12}
 
 
 def test_burnside_rejects_indivisible_sum(monkeypatch):

@@ -108,6 +108,18 @@ def test_H_x1_coefficient(order):
     assert H[1] == qforms.pochhammer(1, 2, order) ** 3  # A_0 = 1 term
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(0, 300))
+@example(127)
+@example(1023)
+def test_H_columns_equal_full_order_compose(order):
+    # oracle: A_k built to the full q-order, then composed with q^2
+    H = trig.andrews_rose_H(order, 13)
+    prefac = qforms.pochhammer(1, 2, order) ** 3
+    for k in range(7):
+        assert H[2 * k + 1] == prefac * qforms.macmahon_A(k, order).compose_monomial(2)
+
+
 @over_prefactor_orders
 def test_G_x0_coefficient_is_pochhammer_quotient(order):
     # C_0 = 1 leaves the prefactor (q;q) / (-q;q), here by the dense inverse
