@@ -39,6 +39,11 @@ def _C_u2(j: int, order: int) -> Series:
     return Series(qforms.macmahon_C(j, order // 2).coeffs, order).compose_monomial(2)
 
 
+@lru_cache(maxsize=None)
+def _delta_inv_u2(order: int) -> Series:
+    return Series(qforms.delta_inv_times_q(order // 2).coeffs, order).compose_monomial(2)
+
+
 def _factors(config):
     """The product formula's pieces, read off the value multiset alone: (power
     of E, one (label, constructor, index, multiplicity) per distinct value
@@ -103,12 +108,13 @@ def f_gk(config, order: int) -> CountSeries:
     config = tuple(config)
     _check_profile(config)
     coset = kummer.admissible(kummer.odd_support(config))
-    series = _product(config, order) if coset else Series.zero(order)
+    series = _product(tuple(sorted(config)), order) if coset else Series.zero(order)
     return CountSeries(config, coset, series)
 
 
+@lru_cache(maxsize=None)
 def _product(values, order: int) -> Series:
-    """The product formula for an admissible profile's values, in any order."""
+    """The product formula for an admissible profile type (sorted values)."""
     epow, factors = _factors(values)
     acc = qforms.series_E(order) ** epow
     for _, make, j, mult in factors:
@@ -143,7 +149,7 @@ def f_gk_via_potential(config, order: int) -> Series:
     config = tuple(config)
     _check_profile(config)
     P = kummer.odd_support(config)
-    yz = Series(qforms.delta_inv_times_q(order // 2).coeffs, order).compose_monomial(2)
+    yz = _delta_inv_u2(order)
     pi3 = kummer.pi3_members()
     acc = Series.zero(order)
     for eps in (kummer.EPS0_MASK, kummer.EPS1_MASK):

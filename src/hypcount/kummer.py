@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 from operator import attrgetter, itemgetter
 
@@ -251,8 +251,8 @@ def admissible_profiles(degree: int):
     """Every admissible multiplicity profile of the given total, support by
     support through the two coset tables.
 
-    A profile is odd exactly on its support P, so it decomposes as 1 on P
-    plus twice a composition of (degree - |P|)/2 over all sixteen slots;
+    A profile is odd exactly on its support P, so it is 1 on P plus 2 on
+    each slot of a multiset of (degree - |P|)/2 of the sixteen points;
     admissibility depends only on P.
     """
     _check_degree(degree)
@@ -262,8 +262,11 @@ def admissible_profiles(degree: int):
             if size > degree:
                 continue
             base = [1 if P >> v & 1 else 0 for v in POINTS]
-            for comp in _compositions((degree - size) // 2, 16):
-                yield tuple(base[v] + 2 * comp[v] for v in POINTS)
+            for slots in combinations_with_replacement(POINTS, (degree - size) // 2):
+                config = base.copy()
+                for v in slots:
+                    config[v] += 2
+                yield tuple(config)
 
 
 @lru_cache(maxsize=1)

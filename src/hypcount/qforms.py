@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import comb, isqrt
 
 from .errors import DomainError
-from .fps import Series
+from .fps import Series, _unpack
 from .numtheory import sigma1_table
 
 # ---------------------------------------------------------------------------
@@ -61,26 +61,40 @@ def _nested_sum(k: int, order: int, odd_steps: bool) -> Series:
     exactly the tuples whose last index is m and no index repeats.  The k-r
     indices still to come exceed m, so S_r is kept only up to order minus
     their least sum; nothing dropped can reach S_k.
+
+    Each S_r is one big int of w-bit fields (Kronecker substitution, as in
+    the fps kernel): q^m S_(r-1) is a shift, and a division by 1 - q^m is
+    doubling steps t (1 + q^m)(1 + q^2m)(1 + q^4m)...  Every field is a
+    nonnegative sub-sum of [q^n] A_1^r <= C(n-1, r-1) sigma_max^r (a sum over
+    the compositions of n into r parts), so no field at or below the cap
+    overflows; fields above it only carry upward, and the mask drops them.
     """
     if k == 0:
         return Series.one(order)
     step = 2 if odd_steps else 1
     if k + step * k * (k - 1) // 2 > order:  # the valuation of S_k
         return Series.zero(order)
-    sums = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(k)]
+    sigma_max = max(sigma1_table(order)[1 : order + 1])
+    # one spare bit: fps._unpack reads signed fields
+    w = max(comb(order - 1, r - 1) * sigma_max**r for r in range(1, k + 1)).bit_length() + 1
+    sums = [1] + [0] * k
     for m in range(1, order + 1, step):
         for r in range(k, 0, -1):
             cap = order - (k - r) * m - step * (k - r) * (k - r + 1) // 2
             if cap < m:
                 continue
-            term = [0] * m + sums[r - 1][: cap + 1 - m]  # q^m S_(r-1)
+            term = sums[r - 1] << (w * m)  # q^m S_(r-1)
+            # (1 + q^m)(1 + q^2m)... over the spans is sum_(j < 2^i) q^(jm), past q^(cap - m)
+            spans = [w * m << i for i in range((cap // m - 1).bit_length())]
+            mask = (1 << (w * (cap + 1))) - 1
             for _ in range(2):  # divide by 1 - q^m twice
-                for e in range(m, cap + 1):
-                    term[e] += term[e - m]
-            dst = sums[r]
-            for e in range(m, cap + 1):
-                dst[e] += term[e]
-    return Series(sums[k], order)
+                for span in spans:
+                    term += term << span
+                term &= mask
+            sums[r] += term
+    coeffs = []
+    _unpack(sums[k], order + 1, w, coeffs)
+    return Series(coeffs, order)
 
 
 @lru_cache(maxsize=None)

@@ -90,14 +90,26 @@ def test_factors_are_requested_at_the_order_they_feed(monkeypatch):
     monkeypatch.setattr(qforms, "macmahon_A", recording("A", qforms.macmahon_A))
     monkeypatch.setattr(qforms, "macmahon_C", recording("C", qforms.macmahon_C))
     monkeypatch.setattr(qforms, "delta_inv_times_q", recording("delta", qforms.delta_inv_times_q))
-    counting._A_u4.cache_clear()
-    counting._C_u2.cache_clear()
+    # a product or q/Delta(u^2) cached by an earlier test would hide a request
+    for cached in (counting._A_u4, counting._C_u2, counting._product, counting._delta_inv_u2):
+        cached.cache_clear()
     config = profile(ROW0, extra=[(0, 2), (4, 4), (1, 2)])  # A1(u^4) A2(u^4) C1(u^2)
     counting.f_gk(config, 400)
     counting.f_gk_via_potential(config, 40)
     assert requested["A"] and max(requested["A"]) <= 100
     assert requested["C"] and max(requested["C"]) <= 200
     assert requested["delta"] and max(requested["delta"]) <= 20
+
+
+def test_fgk_builds_one_product_per_profile_type():
+    # f_gk keys the product formula on the sorted values: 12 types at degrees 4, 6, 8
+    counting._product.cache_clear()
+    types = set()
+    for degree in (4, 6, 8):
+        for cfg in kummer.admissible_profiles(degree):
+            counting.f_gk(cfg, 12)
+            types.add(tuple(sorted(cfg)))
+    assert counting._product.cache_info().misses == len(types) == 12
 
 
 # -- the potential route -----------------------------------------------------------

@@ -280,6 +280,17 @@ def test_translation_orbits_equal_brute_force(degree):
     assert kummer.translation_orbits(degree) == [orbits[rep] for rep in sorted(orbits)]
 
 
+@pytest.mark.parametrize("degree", [4, 6, 8, 10, 12])
+def test_admissible_profiles_are_complete(degree):
+    # each translation class holds orbit_size profiles, so the classes count them all
+    profiles = list(kummer.admissible_profiles(degree))
+    assert len(set(profiles)) == len(profiles)
+    for config in profiles:
+        assert len(config) == 16 and min(config) >= 0 and sum(config) == degree
+        assert kummer.admissible(kummer.odd_support(config)) is not None
+    assert len(profiles) == sum(o.size for o in kummer.translation_orbits(degree))
+
+
 def test_orbits_reject_bad_degree():
     for degree in (5, 2):
         with pytest.raises(DomainError):

@@ -156,6 +156,46 @@ def test_C_past_valuation_is_zero_without_recursing():
     assert qforms.macmahon_C(1000, 4) == qforms.macmahon_C_direct(1000, 4) == Series.zero(4)
 
 
+# -- nested sums: packed big ints against the coefficient loop ---------------
+
+
+def nested_sum_by_coefficients(k, order, odd_steps):
+    # the same pass over m as qforms._nested_sum, one coefficient at a time
+    step = 2 if odd_steps else 1
+    sums = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(k)]
+    for m in range(1, order + 1, step):
+        for r in range(k, 0, -1):
+            cap = order - (k - r) * m - step * (k - r) * (k - r + 1) // 2
+            if cap < m:
+                continue
+            term = [0] * m + sums[r - 1][: cap + 1 - m]  # q^m S_(r-1)
+            for _ in range(2):  # divide by 1 - q^m twice
+                for e in range(m, cap + 1):
+                    term[e] += term[e - m]
+            dst = sums[r]
+            for e in range(m, cap + 1):
+                dst[e] += term[e]
+    return Series(sums[k], order)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 400), st.booleans())
+@example(4, 10, False)  # order = valuation 4 + 6 of A_4's nested sum
+@example(4, 9, False)  # one short of it
+@example(4, 16, True)  # order = valuation 4 + 12 of C_4's
+@example(4, 15, True)
+@example(7, 28, False)
+@example(7, 27, False)
+@example(7, 49, True)
+@example(7, 48, True)
+@example(5, 1024, False)
+@example(5, 1024, True)
+def test_packed_nested_sum_matches_coefficient_loop(k, order, odd_steps):
+    got = qforms._nested_sum(k, order, odd_steps)
+    assert got == nested_sum_by_coefficients(k, order, odd_steps)
+    assert set(map(type, got.coeffs)) <= {int}
+
+
 # -- E, E2, delta, pochhammer, theta ------------------------------------------
 
 
