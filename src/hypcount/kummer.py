@@ -346,53 +346,43 @@ def _multinomial(mults) -> int:
     return n
 
 
-def _fixed_by_translation(on_mults, off_mults) -> int:
-    """Profiles with the given value multiplicities on P and off P that a
-    nonzero translation t fixing P also fixes.  Such a profile is constant
-    on the pairs {v, v + t}, so each value must occur an even number of
-    times, and the profile is an ordering of the halved multiset over the
-    pairs inside P times one over the pairs outside."""
-    if any(m % 2 for m in on_mults) or any(m % 2 for m in off_mults):
-        return 0
-    return _multinomial([m // 2 for m in on_mults]) * _multinomial(
-        [m // 2 for m in off_mults]
-    )
-
-
 def orbit_counts_by_type(degree: int) -> dict:
     """Number of translation-orbit classes of admissible profiles of the
-    given total, per profile type, without enumerating the profiles.
+    given total, per profile type, in one walk over the types.
 
-    A type is the multiset of values (sorted(profile)); since the odd values
-    sit exactly on P, it fixes |P|, the values on P and the values off P.
-    Burnside's lemma gives its class count as (1/16) sum_t Fix(t), summed
-    over the admissible supports P of that size: t = 0 fixes every ordering
-    of the two multisets, and t != 0 fixes a profile only if it fixes P.
+    A type is the multiset of values (sorted(profile)), a partition of the
+    degree into at most 16 parts; the odd values sit exactly on P, so it
+    fixes |P|.  Burnside's lemma gives its class count as (1/16) sum_t
+    Fix(t), summed over the admissible supports P of that size: t = 0 fixes
+    every ordering of the values on P and of those off P, and t != 0 fixes
+    a profile only if it fixes P and the profile is constant on the 8 pairs
+    {v, v + t}, an ordering of the halved multisets over the pairs.
     Returns {sorted values: class count}, one entry per type.
     """
     _check_degree(degree)
-    supports: dict = {}  # |P| -> [number of P, sum over P of #{t != 0 fixing P}]
+    n0, nt = Counter(), Counter()  # |P| -> number of P, sum over P of #{t != 0 fixing P}
     for P, _, stab in _support_classes():
         n_class = 16 // (len(stab) + 1)  # supports in the class, each fixed by stab
-        entry = supports.setdefault(mask_size(P), [0, 0])
-        entry[0] += n_class
-        entry[1] += n_class * len(stab)
+        n0[mask_size(P)] += n_class
+        nt[mask_size(P)] += n_class * len(stab)
     counts = {}
-    for size, (n_supports, n_fixing) in sorted(supports.items()):
-        spread = (degree - size) // 2  # negative, so no partitions, if |P| > degree
-        for on_spread in range(spread + 1):
-            for on in _partitions(on_spread, size):
-                for off in _partitions(spread - on_spread, 16 - size):
-                    on_values = [1 + 2 * a for a in on] + [1] * (size - len(on))
-                    off_values = [2 * b for b in off] + [0] * (16 - size - len(off))
-                    on_mults = list(Counter(on_values).values())
-                    off_mults = list(Counter(off_values).values())
-                    fixed = n_supports * _multinomial(on_mults) * _multinomial(off_mults)
-                    fixed += n_fixing * _fixed_by_translation(on_mults, off_mults)
-                    values = tuple(sorted(on_values + off_values))
-                    if fixed % 16:
-                        raise HypcountError(
-                            f"Burnside sum {fixed} for values {list(values)} is not divisible by 16"
-                        )
-                    counts[values] = fixed // 16
+    for part in _partitions(degree, 16):
+        mults = Counter(part)
+        mults[0] = 16 - len(part)  # the zeros; a multiplicity 0 changes no term
+        on = [m for v, m in mults.items() if v % 2]
+        size = sum(on)
+        if size not in n0:  # no admissible support has this size
+            continue
+        off = [m for v, m in mults.items() if not v % 2]
+        fixed = n0[size] * _multinomial(on) * _multinomial(off)
+        if not any(m % 2 for m in mults.values()):
+            fixed += nt[size] * _multinomial([m // 2 for m in on]) * _multinomial(
+                [m // 2 for m in off]
+            )
+        values = (0,) * mults[0] + part[::-1]
+        if fixed % 16:
+            raise HypcountError(
+                f"Burnside sum {fixed} for values {list(values)} is not divisible by 16"
+            )
+        counts[values] = fixed // 16
     return counts

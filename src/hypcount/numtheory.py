@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
 from .errors import DomainError
 
@@ -30,19 +30,24 @@ def sigma1_table(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def sigma1(n: int) -> int:
-    """Sum of the positive divisors of n."""
+    """Sum of the positive divisors of n.  Past the sieve table, the product
+    of 1 + p + ... + p^e over the prime powers p^e exactly dividing n: each
+    prime is divided out as it is found, and the search stops at the square
+    root of the remaining cofactor, which is then 1 or a prime."""
     if n < 1:
         raise DomainError("sigma1 requires n >= 1")
     if n < len(_sigma_table):
         return _sigma_table[n]
-    total = 0
-    # an odd n has only odd divisors
-    for d in range(1, isqrt(n) + 1, 1 + n % 2):
-        if n % d == 0:
-            total += d
-            if d != n // d:
-                total += n // d
-    return total
+    total, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            power_sum = 1
+            while n % p == 0:
+                n //= p
+                power_sum = power_sum * p + 1
+            total *= power_sum
+        p += 1 + p % 2  # 2, then the odd candidates
+    return total * (n + 1) if n > 1 else total
 
 
 def sigma1_lemma_check(n: int) -> bool:

@@ -223,13 +223,11 @@ def theta_block_from_lattice_sum(kind: str, bound: int, order: int) -> tuple:
             e = 2 * k * k
             if e <= order:
                 add(e, 2 * (-1) ** k, scaled_cos(Fraction(k), xdeg))
-    elif kind == "h":
+    else:  # block_xdeg has rejected any kind other than 'h' and 'g'
         for k in range(0, bound):
             e = 2 * k * k + 2 * k
             if e <= order:
                 add(e, 2 * (-1) ** k, scaled_sin(Fraction(2 * k + 1, 2), xdeg))
-    else:
-        raise DomainError("block kind must be 'h' or 'g'")
     return tuple(Series.from_terms(col, order) for col in cols)
 
 

@@ -132,6 +132,10 @@ LAYOUT_PINS = [
     ("genus --g 4 --order 12 --format json", "995e45a0749fb13b8f79254f20dd46576842525b098e582f874734cda13c6d2d"),
     ("series --name legendre --order 2048 --format json", "fd7e510aecf0069eb6d93e8c5862e38a0b9e79276a583f6ee0a2f524ae5d842a"),
     ("series --name E2 --order 64 --format json", "2dc3221809a255fc8b6337eb2f0c9041fc45b90f54f417fdd16f69325947d0c7"),
+    # the largest Burnside walks: degree 18, and degree 26 at the largest legal genus
+    ("genus --g 8 --order 40", "54f89b6957e019f82149fc0544c4b43ac9349c85e895e79f2b60cc6e1acbf414"),
+    ("genus --g 12", "a1baf3f22ae407e4b8e7760776118bc195584d8a3d32330b641f810803da27bd"),
+    ("genus --g 12 --format csv", "9bca5dabaa1f172f961dfb33143c8172c040ef6d57bab2643a57de8ec69286c0"),
 ]
 
 

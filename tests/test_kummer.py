@@ -315,11 +315,52 @@ def test_burnside_counts_equal_enumeration(degree):
         assert sum(kv % 2 for kv in values) in {4, 6, 8, 10, 12}
 
 
+def nested_orbit_counts_by_type(degree):
+    """The per-type Burnside walk split by support size, then by how the
+    spread splits on and off P, then by partition on P and off P."""
+    supports = {}  # |P| -> [number of P, sum over P of #{t != 0 fixing P}]
+    for P, _, stab in kummer._support_classes():
+        n_class = 16 // (len(stab) + 1)
+        entry = supports.setdefault(kummer.mask_size(P), [0, 0])
+        entry[0] += n_class
+        entry[1] += n_class * len(stab)
+    counts = {}
+    for size, (n_supports, n_fixing) in sorted(supports.items()):
+        spread = (degree - size) // 2
+        for on_spread in range(spread + 1):
+            for on in kummer._partitions(on_spread, size):
+                for off in kummer._partitions(spread - on_spread, 16 - size):
+                    on_values = [1 + 2 * a for a in on] + [1] * (size - len(on))
+                    off_values = [2 * b for b in off] + [0] * (16 - size - len(off))
+                    on_mults = list(Counter(on_values).values())
+                    off_mults = list(Counter(off_values).values())
+                    fixed = n_supports * kummer._multinomial(on_mults) * kummer._multinomial(off_mults)
+                    if not any(m % 2 for m in on_mults + off_mults):
+                        fixed += (
+                            n_fixing
+                            * kummer._multinomial([m // 2 for m in on_mults])
+                            * kummer._multinomial([m // 2 for m in off_mults])
+                        )
+                    assert fixed % 16 == 0
+                    counts[tuple(sorted(on_values + off_values))] = fixed // 16
+    return counts
+
+
+@pytest.mark.parametrize("degree", range(4, 41, 2))
+def test_burnside_walk_matches_nested_walk(degree):
+    # one walk over the partitions of the degree against the split by
+    # support size and by the values on and off P
+    assert kummer.orbit_counts_by_type(degree) == nested_orbit_counts_by_type(degree)
+
+
 def test_burnside_rejects_indivisible_sum(monkeypatch):
-    fixed = kummer._fixed_by_translation
-    monkeypatch.setattr(
-        kummer, "_fixed_by_translation", lambda on, off: fixed(on, off) + 1
-    )
+    # drop one translator from the stabiliser of the first size-4 support:
+    # the tally of supports and fixing translations no longer sums to 16 per class
+    classes = list(kummer._support_classes())
+    first = next(i for i, (P, _, _) in enumerate(classes) if kummer.mask_size(P) == 4)
+    P, which, stab = classes[first]
+    classes[first] = (P, which, stab[1:])
+    monkeypatch.setattr(kummer, "_support_classes", lambda: tuple(classes))
     with pytest.raises(HypcountError, match="not divisible by 16"):
         kummer.orbit_counts_by_type(4)
 

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypcount import numtheory
 from hypcount.errors import DomainError
 from hypcount.fps import Series
 from hypcount.numtheory import odd_split_count, sigma1, sigma1_lemma_check, sigma1_table
@@ -94,6 +95,51 @@ odd_n = st.integers(10**6 // 2, (10**9 - 1) // 2).map(lambda m: 2 * m + 1)
 )
 def test_sigma1_above_the_sieve_matches_factorisation(n):
     assert sigma1(n) == sigma1_by_factoring(n)
+
+
+def sigma1_by_divisor_pairs(n):
+    """Sum of d + n/d over the divisors d <= sqrt(n), a square root once."""
+    total = 0
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            total += d if d * d == n else d + n // d
+    return total
+
+
+@pytest.fixture
+def no_sieve(monkeypatch):
+    # an empty table and a cold cache, so every n >= 2 takes the factoring route
+    monkeypatch.setattr(numtheory, "_sigma_table", [0, 1])
+    sigma1.cache_clear()
+    yield
+    sigma1.cache_clear()
+
+
+def test_sigma1_factoring_matches_divisor_sums(no_sieve):
+    bound = 20_000
+    sums = [0] * (bound + 1)
+    for d in range(1, bound + 1):
+        for m in range(d, bound + 1, d):
+            sums[m] += d
+    assert [sigma1(n) for n in range(1, bound + 1)] == sums[1:]
+
+
+def test_sigma1_factoring_of_prime_powers_and_semiprimes(no_sieve):
+    for p in (2, 3, 5, 7, 9973, 65537, 999_983):
+        for e in range(1, 8):
+            assert sigma1(p**e) == (p ** (e + 1) - 1) // (p - 1)
+    large = (99_991, 100_003, 999_983, 1_000_003)
+    for i, p in enumerate(large):
+        for q in large[i:]:
+            want = (1 + p) * (1 + q) if p != q else 1 + p + p * p
+            assert sigma1(p * q) == want
+
+
+def test_sigma1_factoring_matches_divisor_pairs_on_random_n(no_sieve):
+    rng = random.Random(2718)
+    for _ in range(300):
+        n = rng.randint(2, 10**8)
+        assert sigma1(n) == sigma1_by_divisor_pairs(n)
 
 
 def test_sigma1_halving_examples():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypcount.errors import BoundTooSmall
+from hypcount.errors import BoundTooSmall, DomainError
 from hypcount.fps import Series
 from hypcount import qforms, trig
 
@@ -139,6 +139,12 @@ def test_lattice_sums_rebuild_blocks():
 def test_lattice_sum_bound_guard():
     with pytest.raises(BoundTooSmall):
         trig.theta_block_from_lattice_sum("h", 3, 32)  # 2*9 <= 32
+
+
+@pytest.mark.parametrize("kind", ["x", "H", ""])
+def test_lattice_sum_rejects_unknown_block_kind(kind):
+    with pytest.raises(DomainError, match="block kind must be 'h' or 'g'"):
+        trig.theta_block_from_lattice_sum(kind, 5, 32)
 
 
 def test_change_of_variable_roundtrip():
