@@ -14,14 +14,16 @@ independent route: it extracts the profile's monomial from the sum over
 Pi_3 classes of theta-block products weighted by the K3 rational-curve
 series q/Delta.  That route is built from Chebyshev blocks and Pochhammer
 products only (no divisor sums, no recursions), so agreement between the
-two is a strong end-to-end check of the whole calculus.
+two is a strong end-to-end check of the whole calculus.  Each route builds
+its product once per key: f_gk per profile type, the potential route per
+class key (|P| and the multiset of theta-block picks).
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import DomainError
 from .fps import Series
@@ -76,7 +78,7 @@ def _label(values) -> str:
 
 
 def _check_profile(config):
-    if len(config) != 16 or any(kv < 0 for kv in config):
+    if len(config) != 16 or min(config) < 0:
         raise DomainError("profile must assign a nonnegative count to each of 16 points")
     total = sum(config)
     if total % 2:
@@ -142,31 +144,36 @@ def f_gk_via_potential(config, order: int) -> Series:
     profile's monomial point by point.
 
     Parity kills every class except eta = P + eps_i (h blocks are odd in x,
-    g blocks even), so only those classes are assembled; an inadmissible
-    profile finds no class at all and returns zero.  The (block, x-degree)
-    picks are read point by point; each distinct block power is built once.
+    g blocks even), and eps0, eps1 lie in distinct Pi_3 cosets, so at most
+    one class is assembled; an inadmissible profile finds none and returns
+    zero.  The (block, x-degree) picks are read point by point here; their
+    product is built once per class key (|P|, picks) by _potential_term.
     """
     config = tuple(config)
     _check_profile(config)
     P = kummer.odd_support(config)
-    yz = _delta_inv_u2(order)
     pi3 = kummer.pi3_members()
-    acc = Series.zero(order)
     for eps in (kummer.EPS0_MASK, kummer.EPS1_MASK):
-        eta = P ^ eps
-        if eta not in pi3:
-            continue
-        term = yz.shift(kummer.mask_size(P) // 2 - 2)
-        picks = Counter(("h" if P >> v & 1 else "g", kv) for v, kv in enumerate(config))
-        for (kind, kv), mult in picks.items():
-            power = _block_power(kind, kv, mult, order)
-            # x-degrees past the block's last column have zero coefficient
-            if power is None or power.is_zero():
-                term = Series.zero(order)
-                break
-            term = term * power
-        acc = acc + term
-    return acc
+        if P ^ eps in pi3:
+            picks = Counter(("h" if P >> v & 1 else "g", kv) for v, kv in enumerate(config))
+            return _potential_term(kummer.mask_size(P), tuple(sorted(picks.items())), order)
+    return Series.zero(order)
+
+
+@lru_cache(maxsize=None)
+def _potential_term(size: int, picks, order: int) -> Series:
+    """The class term for a support of the given size: q/Delta(u^2) shifted
+    by size/2 - 2 times each theta-block power in picks, a sorted tuple of
+    ((kind, x-degree), multiplicity); zero at the first missing or zero
+    column."""
+    term = _delta_inv_u2(order).shift(size // 2 - 2)
+    for (kind, kv), mult in picks:
+        power = _block_power(kind, kv, mult, order)
+        # x-degrees past the block's last column have zero coefficient
+        if power is None or power.is_zero():
+            return Series.zero(order)
+        term = term * power
+    return term
 
 
 def min_arith_genus(config) -> int:
@@ -176,8 +183,7 @@ def min_arith_genus(config) -> int:
     _check_profile(config)
     if kummer.admissible(kummer.odd_support(config)) is None:
         raise DomainError("profile is not admissible")
-    twice = sum(kv * kv for kv in config)
-    return -1 + twice // 2
+    return -1 + sum(map(mul, config, config)) // 2
 
 
 def smooth_genus_bound() -> int:

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from functools import lru_cache, reduce
+from itertools import combinations, combinations_with_replacement, compress
 from math import factorial
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, xor
 
 from .errors import DomainError, HypcountError
 
 POINTS = tuple(range(16))
+_BITS = tuple(1 << v for v in POINTS)
 FULL_MASK = 0xFFFF
 
 EPS0_MASK = sum(1 << v for v in (0, 4, 8, 12))
@@ -81,21 +82,22 @@ def is_affine_plane(mask: int, k: int) -> bool:
 _HALVES = tuple(sum(1 << x for x in POINTS if x >> i & 1) for i in range(4))
 
 
+# _LINEAR[j] is the support of the linear functional with values j_i at the
+# basis points 2^i: the XOR of the half-masks _HALVES[i] over the bits of j
+_LINEAR = tuple(reduce(xor, compress(_HALVES, (j >> i & 1 for i in range(4))), 0) for j in POINTS)
+
+
 def in_Pi3(mask: int) -> bool:
     """Membership in Pi_3 by the affine-indicator criterion: the indicator
     of the subset must be an affine functional on F_2^4.
 
-    Then lin(x) = 1_S(x) + 1_S(0) is linear, so its support is the XOR of
-    the half-masks of the basis points 1, 2, 4 and 8 that lie in it; the
-    test compares lin with that XOR.
+    Then lin(x) = 1_S(x) + 1_S(0) is linear, so it is determined by its
+    values at the basis points 1, 2, 4 and 8; the test compares lin with
+    the table entry those four bits index.
     """
     mask &= FULL_MASK
     lin = mask ^ (-(mask & 1) & FULL_MASK)
-    h0, h1, h2, h3 = _HALVES
-    return lin == (
-        (-(lin >> 1 & 1) & h0) ^ (-(lin >> 2 & 1) & h1)
-        ^ (-(lin >> 4 & 1) & h2) ^ (-(lin >> 8 & 1) & h3)
-    )
+    return lin == _LINEAR[(lin >> 1 & 1) | (lin >> 1 & 2) | (lin >> 2 & 4) | (lin >> 5 & 8)]
 
 
 def affine_threeplanes() -> list:
@@ -112,18 +114,12 @@ def affine_threeplanes() -> list:
 
 
 def xor_closure(gens) -> set:
-    """The subgroup generated by the masks gens under symmetric difference."""
+    """The subgroup generated by the masks gens under symmetric difference,
+    doubled once per generator that is not yet a member."""
     members = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                c = m ^ g
-                if c not in members:
-                    members.add(c)
-                    nxt.append(c)
-        frontier = nxt
+    for g in gens:
+        if g not in members:
+            members |= {m ^ g for m in members}
     return members
 
 
@@ -201,11 +197,7 @@ def coset_members(which: str) -> tuple:
 def odd_support(config) -> int:
     """Odd-entry support of a profile, or odd-numerator support of a
     half-lattice vector, as a subset mask."""
-    m = 0
-    for v, kv in enumerate(config):
-        if kv % 2:
-            m |= 1 << v
-    return m
+    return sum(compress(_BITS, [kv % 2 for kv in config]))
 
 
 # entry v of the translate by t is the multiplicity at v + t

@@ -13,7 +13,7 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import isqrt
 
 from .fps import Series
@@ -341,8 +341,8 @@ def check_pi_chain(order, rng):
     planes = {
         k: [
             m
-            for m in range(1 << 16)
-            if kummer.mask_size(m) == 1 << k and kummer.is_affine_plane(m, k)
+            for m in map(kummer.mask_from_points, combinations(range(16), 1 << k))
+            if kummer.is_affine_plane(m, k)
         ]
         for k in (2, 4)
     }

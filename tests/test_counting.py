@@ -90,8 +90,14 @@ def test_factors_are_requested_at_the_order_they_feed(monkeypatch):
     monkeypatch.setattr(qforms, "macmahon_A", recording("A", qforms.macmahon_A))
     monkeypatch.setattr(qforms, "macmahon_C", recording("C", qforms.macmahon_C))
     monkeypatch.setattr(qforms, "delta_inv_times_q", recording("delta", qforms.delta_inv_times_q))
-    # a product or q/Delta(u^2) cached by an earlier test would hide a request
-    for cached in (counting._A_u4, counting._C_u2, counting._product, counting._delta_inv_u2):
+    # a product, term or q/Delta(u^2) cached by an earlier test would hide a request
+    for cached in (
+        counting._A_u4,
+        counting._C_u2,
+        counting._product,
+        counting._delta_inv_u2,
+        counting._potential_term,
+    ):
         cached.cache_clear()
     config = profile(ROW0, extra=[(0, 2), (4, 4), (1, 2)])  # A1(u^4) A2(u^4) C1(u^2)
     counting.f_gk(config, 400)
@@ -113,6 +119,19 @@ def test_fgk_builds_one_product_per_profile_type():
 
 
 # -- the potential route -----------------------------------------------------------
+
+
+def test_potential_route_builds_one_term_per_class_key():
+    # the term depends on (|P|, picks) only: 12 keys among the 908 profiles of
+    # degrees 4, 6, 8, one per profile type
+    counting._potential_term.cache_clear()
+    count = 0
+    for degree in (4, 6, 8):
+        for cfg in kummer.admissible_profiles(degree):
+            counting.f_gk_via_potential(cfg, 12)
+            count += 1
+    info = counting._potential_term.cache_info()
+    assert (count, info.misses, info.hits) == (908, 12, 896)
 
 
 def test_routes_agree_on_samples():

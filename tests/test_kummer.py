@@ -1,9 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypcount.errors import DomainError, HypcountError
 from hypcount import kummer
@@ -82,6 +84,64 @@ def test_pi3_closure_matches_indicator_everywhere():
 def test_pi3_sizes():
     sizes = sorted(kummer.mask_size(m) for m in kummer.pi3_members())
     assert sizes == [0] + [8] * 30 + [16]
+
+
+def _closure_oracle(gens):
+    # breadth-first walk: XOR every generator onto each newly found member
+    members = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                c = m ^ g
+                if c not in members:
+                    members.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return members
+
+
+MASKS = st.one_of(st.integers(0, kummer.FULL_MASK), st.integers(0, 15), st.just(0))
+
+
+@st.composite
+def generator_lists(draw):
+    """0..14 masks: random 16-bit values, small values and 0, some repeated."""
+    gens = draw(st.lists(MASKS, max_size=10))
+    repeats = draw(st.lists(st.sampled_from(gens), max_size=4)) if gens else []
+    return draw(st.permutations(gens + repeats))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(generator_lists())
+def test_xor_closure_matches_frontier_walk(gens):
+    assert kummer.xor_closure(gens) == _closure_oracle(gens)
+
+
+def test_xor_closure_of_the_plane_families():
+    twoplanes = [
+        m
+        for m in map(kummer.mask_from_points, combinations(range(16), 4))
+        if kummer.is_affine_plane(m, 2)
+    ]
+    assert len(twoplanes) == 140
+    assert kummer.xor_closure([]) == {0}
+    assert kummer.xor_closure([kummer.FULL_MASK]) == {0, kummer.FULL_MASK}  # Pi_4
+    for gens, size in ((kummer.affine_threeplanes(), 32), (twoplanes, 2048)):
+        closure = kummer.xor_closure(gens)
+        assert len(closure) == size and closure == _closure_oracle(gens)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(-7, 7)] * 16))
+def test_odd_support_matches_per_entry_loop(vector):
+    # half-lattice vectors have negative numerators; kv % 2 is 1 for odd kv
+    want = 0
+    for v, kv in enumerate(vector):
+        if kv % 2:
+            want |= 1 << v
+    assert kummer.odd_support(vector) == want
 
 
 # -- half-lattice vectors and pairing --------------------------------------------
