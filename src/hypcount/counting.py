@@ -14,9 +14,8 @@ independent route: it extracts the profile's monomial from the sum over
 Pi_3 classes of theta-block products weighted by the K3 rational-curve
 series q/Delta.  That route is built from Chebyshev blocks and Pochhammer
 products only (no divisor sums, no recursions), so agreement between the
-two is a strong end-to-end check of the whole calculus.  Each route builds
-its product once per key: f_gk per profile type, the potential route per
-class key (|P| and the multiset of theta-block picks).
+two is a strong end-to-end check of the whole calculus.  Both routes build
+their product once per profile type (sorted values), each in its own cache.
 """
 
 from __future__ import annotations
@@ -39,11 +38,6 @@ def _A_u4(j: int, order: int) -> Series:
 @lru_cache(maxsize=None)
 def _C_u2(j: int, order: int) -> Series:
     return Series(qforms.macmahon_C(j, order // 2).coeffs, order).compose_monomial(2)
-
-
-@lru_cache(maxsize=None)
-def _delta_inv_u2(order: int) -> Series:
-    return Series(qforms.delta_inv_times_q(order // 2).coeffs, order).compose_monomial(2)
 
 
 def _factors(config):
@@ -126,18 +120,6 @@ def _product(values, order: int) -> Series:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _block_power(kind: str, kv: int, mult: int, order: int):
-    """Theta-block column kv to the power mult; None past the last column."""
-    block = trig.theta_block(kind, order)
-    if kv >= len(block):
-        return None
-    power = block[kv]
-    for _ in range(mult - 1):
-        power = power * block[kv]
-    return power
-
-
 def f_gk_via_potential(config, order: int) -> Series:
     """Same coefficient via the orbifold potential: sum over the Pi_3
     classes eta and both cosets of the theta-block product, extracting the
@@ -146,33 +128,34 @@ def f_gk_via_potential(config, order: int) -> Series:
     Parity kills every class except eta = P + eps_i (h blocks are odd in x,
     g blocks even), and eps0, eps1 lie in distinct Pi_3 cosets, so at most
     one class is assembled; an inadmissible profile finds none and returns
-    zero.  The (block, x-degree) picks are read point by point here; their
-    product is built once per class key (|P|, picks) by _potential_term.
+    zero.  A point picks the h block exactly when its value is odd, so the
+    class term depends on the profile type (sorted values) alone and
+    _potential_term builds it once per type.
     """
     config = tuple(config)
     _check_profile(config)
     P = kummer.odd_support(config)
     pi3 = kummer.pi3_members()
-    for eps in (kummer.EPS0_MASK, kummer.EPS1_MASK):
-        if P ^ eps in pi3:
-            picks = Counter(("h" if P >> v & 1 else "g", kv) for v, kv in enumerate(config))
-            return _potential_term(kummer.mask_size(P), tuple(sorted(picks.items())), order)
+    if P ^ kummer.EPS0_MASK in pi3 or P ^ kummer.EPS1_MASK in pi3:
+        return _potential_term(tuple(sorted(config)), order)
     return Series.zero(order)
 
 
 @lru_cache(maxsize=None)
-def _potential_term(size: int, picks, order: int) -> Series:
-    """The class term for a support of the given size: q/Delta(u^2) shifted
-    by size/2 - 2 times each theta-block power in picks, a sorted tuple of
-    ((kind, x-degree), multiplicity); zero at the first missing or zero
-    column."""
-    term = _delta_inv_u2(order).shift(size // 2 - 2)
-    for (kind, kv), mult in picks:
-        power = _block_power(kind, kv, mult, order)
+def _potential_term(values, order: int) -> Series:
+    """The class term of a profile type: q/Delta(u^2) shifted by |P|/2 - 2
+    (|P| the number of odd values) times, for each value k, column k of the
+    h block (k odd) or the g block (k even); zero at the first missing or
+    zero column.  A repeated value multiplies its column in again rather
+    than take a power, so no positive-power code is shared with _product."""
+    term = Series(qforms.delta_inv_times_q(order // 2).coeffs, order).compose_monomial(2)
+    term = term.shift(sum(kv % 2 for kv in values) // 2 - 2)
+    for kv in values:
+        block = trig.theta_block("h" if kv % 2 else "g", order)
         # x-degrees past the block's last column have zero coefficient
-        if power is None or power.is_zero():
+        if kv >= len(block) or block[kv].is_zero():
             return Series.zero(order)
-        term = term * power
+        term = term * block[kv]
     return term
 
 

@@ -30,8 +30,8 @@ def _norm(c) -> Rational:
         return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
-    if isinstance(c, int):
-        return c
+    if isinstance(c, int):  # bool and other int subclasses become plain int
+        return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
@@ -357,9 +357,10 @@ class Series:
         """Formal composition self(inner); inner must have no constant term."""
         if inner.coeffs[0] != 0:
             raise NonzeroConstantTerm("inner series must have zero constant term")
-        # Horner from the top; only the first inner.order outer terms matter
+        # Horner from the top: only the first inner.order outer terms matter and
+        # those past self.order are unknown, so the result has order top
         top = min(self.order, inner.order)
-        result = Series([self.coeffs[top]], inner.order)
+        result = Series([self.coeffs[top]], top)
         for n in range(top - 1, -1, -1):
             result = result * inner + self.coeffs[n]
         return result

@@ -114,13 +114,8 @@ def theta_block(kind: str, order: int, xdeg: int | None = None) -> tuple:
 
 def theta_block_q(kind: str, order: int, xdeg: int | None = None) -> tuple:
     """Same block in the q-convention (q = u^2): exponents n^2+n and n^2."""
-    block = theta_block(kind, 2 * order, xdeg)
-    halved = []
-    for s in block:
-        if any(c for n, c in enumerate(s.coeffs) if n % 2):
-            raise DomainError("u-block has an odd exponent; cannot halve")
-        halved.append(Series(list(s.coeffs[::2]), order))
-    return tuple(halved)
+    # every u-exponent of a block (2n^2+2n, 2n^2, the g constant 0) is even
+    return tuple(Series(s.coeffs[::2], order) for s in theta_block(kind, 2 * order, xdeg))
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,11 @@ def test_factors_are_requested_at_the_order_they_feed(monkeypatch):
     monkeypatch.setattr(qforms, "macmahon_A", recording("A", qforms.macmahon_A))
     monkeypatch.setattr(qforms, "macmahon_C", recording("C", qforms.macmahon_C))
     monkeypatch.setattr(qforms, "delta_inv_times_q", recording("delta", qforms.delta_inv_times_q))
-    # a product, term or q/Delta(u^2) cached by an earlier test would hide a request
+    # a product or term cached by an earlier test would hide a request
     for cached in (
         counting._A_u4,
         counting._C_u2,
         counting._product,
-        counting._delta_inv_u2,
         counting._potential_term,
     ):
         cached.cache_clear()
@@ -122,8 +121,8 @@ def test_fgk_builds_one_product_per_profile_type():
 
 
 def test_potential_route_builds_one_term_per_class_key():
-    # the term depends on (|P|, picks) only: 12 keys among the 908 profiles of
-    # degrees 4, 6, 8, one per profile type
+    # a point picks the h block exactly when its value is odd, so the term is
+    # keyed on the profile type: 12 keys among the 908 profiles of degrees 4, 6, 8
     counting._potential_term.cache_clear()
     count = 0
     for degree in (4, 6, 8):

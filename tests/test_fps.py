@@ -397,6 +397,15 @@ def test_substitute_square_of_two_sin_half():
     assert sq == two_sin * two_sin
 
 
+def test_substitute_claims_no_coefficient_past_the_outer_order():
+    # f and g agree to order 1 but differ at q^2, so f(x) is known to order 1 only
+    f, g = Series([0, 1], 1), Series([0, 1, 5], 2)
+    inner = Series([0, 1, 0, 0], 3)
+    assert f.substitute(inner).order == 1
+    assert f.substitute(inner) == g.substitute(inner).truncate(1)
+    assert g.substitute(Series([0, 1], 1)).order == 1  # and past the inner order
+
+
 def test_substitute_nonzero_constant_raises():
     with pytest.raises(NonzeroConstantTerm):
         S(1, 1, order=3).substitute(S(1, 1, order=3))
@@ -449,6 +458,14 @@ def test_json_roundtrip():
     s = S(1, Fraction(-3, 2), 0, 7, order=5)
     assert s.to_json()["coeffs"] == ["1", "-3/2", "0", "7", "0", "0"]
     assert s.to_json()["denom"] == 1  # kept so existing files stay valid
+
+
+def test_int_subclass_coefficients_become_plain_ints():
+    # bool is an int subclass: True must store and write as 1, like Series([1, 2])
+    flagged, plain = Series([True, 2]), Series([1, 2])
+    assert [type(c) for c in flagged.coeffs] == [int, int]
+    assert flagged.coeffs == plain.coeffs
+    assert flagged.to_json() == plain.to_json() == {"denom": 1, "order": 1, "coeffs": ["1", "2"]}
 
 
 proper_fraction = fraction.filter(lambda c: c.denominator != 1)

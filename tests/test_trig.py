@@ -71,6 +71,15 @@ def test_h_block_x1_is_cube_of_even_pochhammer():
     assert h[1] == qforms.pochhammer(1, 2, 24).compose_monomial(2) ** 3
 
 
+@pytest.mark.parametrize("kind", ["h", "g"])
+def test_block_columns_vanish_at_odd_u_exponents(kind):
+    # every exponent written is 2n^2+2n or 2n^2 (or the g constant 0), so
+    # theta_block_q may halve the exponents without a check
+    for order in range(201):
+        for col in trig.theta_block(kind, order, 13):
+            assert not any(col.coeffs[1::2])
+
+
 @pytest.mark.parametrize(
     "build",
     [
