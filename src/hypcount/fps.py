@@ -1,11 +1,13 @@
 """Truncated formal power series with exact rational coefficients.
 
-A Series stores a dense coefficient vector: entry ``n`` is the coefficient
-of ``q**n`` for ``n = 0..order``.  Every exponent is a whole number; a
-series in fractional powers is written as a whole-power series times an
-explicit prefactor (see ``qforms.theta2_fourth``).  Coefficients are Python
-ints or Fractions, never floats, so every computation in the package is
-bit-exact.
+A Series holds the coefficients of ``q**n`` for ``n = 0..order``.  Every
+exponent is a whole number; a series in fractional powers is written as a
+whole-power series times an explicit prefactor (see
+``qforms.theta2_fourth``).  Coefficients are exact rationals, never floats.
+They are stored as FLINT's fmpq_poly stores them: integer numerators over
+one positive denominator, in lowest terms, so every kernel operation runs
+on ints and equal series store equal integers.  ``coeffs``, the tuple of
+ints and Fractions that callers read, is built from them on first read.
 
 Truncation discipline: binary operations truncate the result to the
 minimum order of the operands.  A Series is never silently re-extended; a
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, count
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DomainError, NonzeroConstantTerm, ZeroConstantTerm
@@ -71,9 +73,8 @@ def _clear(coeffs) -> tuple:
     """(numerators, den) with coeffs[i] == numerators[i] / den."""
     if set(map(type, coeffs)) <= {int}:
         return coeffs, 1
-    den = lcm(*(c.denominator for c in coeffs if type(c) is not int))
-    return [c * den if type(c) is int else c.numerator * (den // c.denominator)
-            for c in coeffs], den
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _valuation(c) -> int:
@@ -185,26 +186,16 @@ def _miller(pairs, k: int, order: int) -> list[int]:
     return out
 
 
-def _rescale(c: list[int], den: int, n0: int, k: int) -> "Series":
-    """(N/den)**k for k < 0 from the coefficients c of Ahat**k: since
-    N(x) = n0 Ahat(x/n0), [q^n] (N/den)**k = den^(-k) c_n n0^(k-n)."""
-    if den == 1 and n0 == 1:
-        return Series(c, len(c) - 1)
-    scale, out, p = den ** -k, [], n0 ** -k
-    for x in c:
-        out.append(Fraction(scale * x, p))
-        p *= n0
-    return Series(out, len(c) - 1)
-
-
 class Series:
-    """Immutable truncated power series; safe to share across threads."""
+    """Immutable truncated power series: numerators ``_num`` over ``_den > 0``
+    with gcd(*_num, _den) == 1.  Safe to share across threads: two threads
+    may both build ``coeffs`` on first read, but build equal tuples."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("_num", "_den", "order", "_coeffs")
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
-        if not set(map(type, coeffs)) <= {int}:  # kernel outputs are all int
+        if not set(map(type, coeffs)) <= {int}:  # int lists skip the per-entry check
             coeffs = [_norm(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1 if coeffs else 0
@@ -214,11 +205,40 @@ class Series:
             coeffs = coeffs + [0] * (order + 1 - len(coeffs))
         else:
             coeffs = coeffs[: order + 1]
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self._fill(*_clear(coeffs), order)
+
+    def _fill(self, num, den: int, order: int) -> None:
+        object.__setattr__(self, "_num", tuple(num))
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "order", order)
+
+    @staticmethod
+    def _of(num, den: int, order: int) -> "Series":
+        """Kernel result: the order + 1 integers num over den != 0, put in
+        lowest terms with a positive denominator; skips ``_norm``."""
+        if den != 1:
+            g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+            if g != 1:
+                num, den = [c // g for c in num], den // g
+        s = object.__new__(Series)
+        s._fill(num, den, order)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients of q**0..q**order as ints and Fractions, built once."""
+        den = self._den
+        if den == 1:
+            return self._num
+        try:
+            return self._coeffs
+        except AttributeError:
+            c = tuple(Fraction(x, den) if x % den else x // den for x in self._num)
+            object.__setattr__(self, "_coeffs", c)
+            return c
 
     # -- constructors ------------------------------------------------------
 
@@ -247,12 +267,17 @@ class Series:
         elif not isinstance(other, Series):
             return NotImplemented
         order = min(self.order, other.order)
-        return Series([x + y for x, y in zip(self.coeffs, other.coeffs)], order)
+        a, b, da, db = self._num, other._num, self._den, other._den
+        if da == db:
+            return Series._of([x + y for x, y in zip(a, b)], da, order)
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return Series._of([x * fa + y * fb for x, y in zip(a, b)], den, order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order)
+        return Series._of([-c for c in self._num], self._den, self.order)
 
     def __sub__(self, other):
         return self + (-other)
@@ -261,25 +286,14 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Series([c * other for c in self.coeffs], self.order)
-        if isinstance(other, Fraction):  # scale the common denominator once
-            num, den = _clear(self.coeffs)
-            p, den = other.numerator, den * other.denominator
-            out = [c * p for c in num]
-            if any(c % den for c in out):
-                return Series([Fraction(c, den) if c else 0 for c in out], self.order)
-            return Series([c // den for c in out], self.order)  # stays in ints
-        if not isinstance(other, Series):
-            return NotImplemented
-        order = min(self.order, other.order)
-        an, aden = _clear(self.coeffs[: order + 1])
-        bn, bden = _clear(other.coeffs[: order + 1])
-        out = _int_mul(an, bn, order)
-        den = aden * bden
-        if den != 1:
-            out = [Fraction(c, den) if c else 0 for c in out]
-        return Series(out, order)
+        if isinstance(other, Series):
+            order = min(self.order, other.order)
+            num = _int_mul(self._num, other._num, order)
+            return Series._of(num, self._den * other._den, order)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            return Series._of([c * p for c in self._num], self._den * q, self.order)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -304,23 +318,32 @@ class Series:
     def _negative_power(self, k: int) -> "Series":
         """self**k for k < 0.  self = N/den for integer N; with n0 = N_0,
         Ahat(x) = N(n0 x)/n0 = 1 + sum tail[j-1] x^j has integer coefficients
-        N_j n0^(j-1) and constant term 1, so each power of it is integral."""
-        if self.coeffs[0] == 0:
-            raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        num, den = _clear(self.coeffs)
+        N_j n0^(j-1) and constant term 1, so C = Ahat**k is integral, and
+        [q^n] self**k = den^(-k) C_n n0^(k-n) = den^(-k) C_n n0^(order-n) /
+        n0^(order-k)."""
+        num, den, order = self._num, self._den, self.order
         n0 = num[0]
+        if n0 == 0:
+            raise ZeroConstantTerm("cannot invert a series with zero constant term")
         tail, p = [], 1
         for c in num[1:]:
             tail.append(c * p)
             p *= n0
         pairs = [(j, c) for j, c in enumerate(tail, 1) if c]
         if len(pairs) * _SPARSE_SPAN <= len(tail):
-            return _rescale(_miller(pairs, k, self.order), den, n0, k)
-        inv = [1]
-        for _ in range(self.order):
-            inv.append(-sum(map(mul, tail, reversed(inv))))
-        inv = _rescale(inv, den, n0, -1)
-        return inv if k == -1 else inv ** -k
+            c, j = _miller(pairs, k, order), k
+        else:
+            c, j = [1], -1
+            for _ in range(order):
+                c.append(-sum(map(mul, tail, reversed(c))))
+        d = 1
+        if den != 1 or n0 != 1:
+            d, p = n0 ** (order - j), den ** -j
+            for n in range(order, -1, -1):
+                c[n] *= p
+                p *= n0
+        power = Series._of(c, d, order)
+        return power if j == k else power ** -k
 
     # -- structural operations ----------------------------------------------
 
@@ -330,28 +353,25 @@ class Series:
         if m < 1:
             raise DomainError("monomial exponent must be >= 1")
         out = [0] * (self.order + 1)
-        for n in range(0, self.order // m + 1):
-            out[n * m] = self.coeffs[n]
-        return Series(out, self.order)
+        out[::m] = self._num[: self.order // m + 1]
+        return Series._of(out, self._den, self.order)
 
     def qderiv(self) -> "Series":
         """The operator q d/dq (multiplies the q**n coefficient by n)."""
-        return Series([n * c for n, c in enumerate(self.coeffs)], self.order)
+        return Series._of([n * c for n, c in enumerate(self._num)], self._den, self.order)
 
     def deriv(self) -> "Series":
         """Plain d/dq; order drops by one."""
         if self.order == 0:
             return Series([0], 0)
-        return Series(
-            [(n + 1) * self.coeffs[n + 1] for n in range(self.order)],
-            self.order - 1,
-        )
+        num = [n * c for n, c in enumerate(self._num)]
+        return Series._of(num[1:], self._den, self.order - 1)
 
     def shift(self, m: int) -> "Series":
         """Multiply by q**m; top m entries fall off."""
         if m < 0:
             raise DomainError("shift must be >= 0")
-        return Series([0] * m + list(self.coeffs), self.order)
+        return Series._of(((0,) * m + self._num)[: self.order + 1], self._den, self.order)
 
     def substitute(self, inner: "Series") -> "Series":
         """Formal composition self(inner); inner must have no constant term."""
@@ -366,9 +386,11 @@ class Series:
         return result
 
     def truncate(self, order: int) -> "Series":
+        if order < 0:
+            raise DomainError("order must be >= 0")
         if order >= self.order:
             return self
-        return Series(list(self.coeffs[: order + 1]), order)
+        return Series._of(self._num[: order + 1], self._den, order)
 
     # -- queries -------------------------------------------------------------
 
@@ -380,12 +402,12 @@ class Series:
         return self.coeffs[n]
 
     def is_zero(self) -> bool:
-        return _valuation(self.coeffs) == len(self.coeffs)
+        return _valuation(self._num) == len(self._num)
 
     def valuation(self) -> int | None:
         """Lowest exponent with a nonzero coefficient, or None for 0."""
-        n = _valuation(self.coeffs)
-        return n if n < len(self.coeffs) else None
+        n = _valuation(self._num)
+        return n if n < len(self._num) else None
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -394,7 +416,7 @@ class Series:
             return NotImplemented
         if self.order != other.order:
             raise ValueError(f"cannot compare series of orders {self.order} and {other.order}")
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     __hash__ = None
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -254,6 +255,9 @@ def test_streamed_listing_out_equals_stdout(capsys, tmp_path, argv):
 
 
 def traced_peak(fn, *args) -> int:
+    # collected first, so freed tuples cannot be reused off the free list
+    # untraced and shrink one peak and not the other
+    gc.collect()
     tracemalloc.start()
     try:
         fn(*args)
@@ -647,7 +651,8 @@ def test_cache_roundtrip_and_corruption(capsys, tmp_path):
 
     victim = sorted(os.listdir(cache))[0]
     path = os.path.join(cache, victim)
-    data = json.loads(open(path).read())
+    with open(path) as fh:
+        data = json.load(fh)
     data["coeffs"][1] = "999"
     with open(path, "w") as fh:
         json.dump(data, fh, sort_keys=True, indent=2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypcount.errors import NonzeroConstantTerm, ZeroConstantTerm
+from hypcount.errors import DomainError, NonzeroConstantTerm, ZeroConstantTerm
 from hypcount.fps import KRONECKER_MIN, Series, _int_mul, _kron_mul, _school_mul
 from hypcount.qforms import pochhammer
 
@@ -209,13 +209,12 @@ def test_series_times_exact_fraction_stays_in_ints():
     assert list(mixed.coeffs) == [1, Fraction(1, 2)] and type(mixed[0]) is int
 
 
-def rational_product(a: Series, b: Series):
-    """Coefficient-wise Fraction product of two aligned series."""
-    order = min(a.order, b.order)
+def fraction_product(a, b, order):
+    """Schoolbook product of two coefficient lists, one Fraction at a time."""
     out = [Fraction(0)] * (order + 1)
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            out[i + j] += Fraction(a.coeffs[i]) * b.coeffs[j]
+            out[i + j] += Fraction(a[i]) * b[j]
     return out
 
 
@@ -226,7 +225,7 @@ def test_series_mul_matches_rational_oracle():
         a = random_series(rng, order)
         b = random_series(rng, rng.randint(order, order + 5))
         got = a * b
-        assert list(got.coeffs) == rational_product(a, b)
+        assert list(got.coeffs) == fraction_product(a.coeffs, b.coeffs, order)
         # integral results collapse to int
         assert all(type(c) is int for c in got.coeffs if Fraction(c).denominator == 1)
 
@@ -295,6 +294,90 @@ def test_negative_power_of_sparse_zero_constant_raises(k, tail):
 def test_invert_roundtrip_order_1024():
     a = pochhammer(1, 1, 1024) ** 24
     assert a * a.invert() == Series.one(1024)
+
+
+# -- the kernel against per-coefficient Fraction arithmetic --------------------
+
+
+def assert_coeffs(series, want):
+    """series.coeffs equals the rationals want, integral entries as int, and
+    the series equals the one the public constructor builds from want."""
+    want = [int(c) if Fraction(c).denominator == 1 else c for c in want]
+    assert list(series.coeffs) == want
+    assert list(map(type, series.coeffs)) == list(map(type, want))
+    assert series == Series(want)
+
+
+nonzero_digit = st.integers(-9, 9).filter(bool)
+proper_entry = st.builds(Fraction, nonzero_digit, st.integers(2, 9)).filter(
+    lambda c: c.denominator != 1)
+
+
+@st.composite
+def oracle_coeffs(draw, dense):
+    """Coefficients 0..order, order <= 70: a constant term that is 1, -1, 2,
+    3, 5/2 or -7/3, and a tail that is all nonzero (the dense inverse) or
+    has at most order // 4 nonzero terms (Miller's recurrence), with 0-3
+    Fraction entries."""
+    order = draw(st.integers(0, 70))
+    if dense:
+        tail = draw(st.lists(nonzero_digit, min_size=order, max_size=order))
+    else:
+        terms = draw(st.dictionaries(st.integers(0, max(order - 1, 0)), nonzero_digit,
+                                     max_size=order // 4))
+        tail = [terms.get(i, 0) for i in range(order)]
+    support = [i for i, c in enumerate(tail) if c]
+    if support:
+        for i in draw(st.lists(st.sampled_from(support), max_size=3, unique=True)):
+            tail[i] = draw(proper_entry)
+    a0 = draw(st.sampled_from([1, -1, 2, 3, Fraction(5, 2), Fraction(-7, 3)]))
+    return [a0] + tail
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(oracle_coeffs(dense=True), oracle_coeffs(dense=True), oracle_coeffs(dense=False),
+       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), st.integers(1, 4),
+       st.integers(0, 72))
+def test_kernel_matches_fraction_oracle(a, b, s, scalar, m, t):
+    # two dense operands cross KRONECKER_MIN above order 20; a sparse one
+    # keeps the schoolbook loop
+    sa, sb, ss = Series(a), Series(b), Series(s)
+    order = min(len(a), len(b)) - 1
+    assert_coeffs(sa * sb, fraction_product(a, b, order))
+    assert_coeffs(sa + sb, [Fraction(x) + y for x, y in zip(a, b)])
+    order = min(len(a), len(s)) - 1
+    assert_coeffs(sa * ss, fraction_product(a, s, order))
+    assert_coeffs(sa * scalar, [Fraction(x) * scalar for x in a])
+    n = len(a) - 1
+    assert_coeffs(sa.invert(), rational_inverse(a, n))
+    assert_coeffs(sa ** 3, fraction_product(fraction_product(a, a, n), a, n))
+    assert_coeffs(sa.qderiv(), [i * Fraction(x) for i, x in enumerate(a)])
+    assert_coeffs(sa.deriv(), [i * Fraction(x) for i, x in enumerate(a)][1:] or [0])
+    assert_coeffs(sa.shift(m), ([0] * m + a)[: n + 1])
+    assert_coeffs(sa.truncate(t), a[: t + 1])
+    assert_coeffs(sa.compose_monomial(m), [a[i // m] if i % m == 0 else 0 for i in range(n + 1)])
+    for coeffs in (a, s):  # a**-3 by the dense inverse cubed, s**-3 by Miller
+        n = len(coeffs) - 1
+        inv = rational_inverse(coeffs, n)
+        assert_coeffs(Series(coeffs) ** -3, fraction_product(fraction_product(inv, inv, n), inv, n))
+
+
+@pytest.mark.parametrize("got, want, text", [
+    (Series([1, Fraction(1, 2)], 1).truncate(0), Series([1], 0), ["1"]),
+    (Series([1, 0, Fraction(1, 3)], 2).shift(1), Series([0, 1, 0], 2), ["0", "1", "0"]),
+    (Series([Fraction(1, 2), 1], 1).deriv(), Series([1], 0), ["1"]),
+    (Series([Fraction(1, 2)], 0) * 2, Series([1], 0), ["1"]),
+], ids=["truncate", "shift", "deriv", "times-int"])
+def test_results_are_in_lowest_terms(got, want, text):
+    # each result drops the entries that carried its denominator, so it
+    # equals the integer series and writes "1", never "2/2"
+    assert got == want
+    assert got.to_json() == {"denom": 1, "order": want.order, "coeffs": text}
+
+
+def test_truncate_validates_its_order():
+    with pytest.raises(DomainError, match="order must be >= 0"):
+        Series([1, 2], 1).truncate(-1)
 
 
 # -- compose_monomial --------------------------------------------------------
