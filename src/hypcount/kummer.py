@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement, compress
+from itertools import combinations_with_replacement, compress
 from math import factorial
 from operator import attrgetter, itemgetter, xor
 
@@ -220,58 +220,48 @@ class Orbit(namedtuple("Orbit", "rep size coset")):
         return {"rep": list(self.rep), "orbit_size": self.size, "coset": self.coset}
 
 
-def _compositions(total: int, slots: int):
-    """Compositions of total into `slots` parts >= 0, in lexicographic
-    order: stars and bars, slots - 1 bars among total + slots - 1 places."""
-    end = total + slots - 1
-    for bars in combinations(range(end), slots - 1):
-        prev = -1
-        parts = []
-        for bar in bars:
-            parts.append(bar - prev - 1)
-            prev = bar
-        parts.append(end - prev - 1)
-        yield tuple(parts)
-
-
 def _check_degree(degree: int) -> None:
     if degree < 4 or degree % 2:
         raise DomainError("degree must be an even integer >= 4")
 
 
-def admissible_profiles(degree: int):
-    """Every admissible multiplicity profile of the given total, support by
-    support through the two coset tables.
+def _on_support(P: int, degree: int):
+    """(slots, profile) for every profile of the given total that is odd
+    exactly on the support P: 1 on P plus 2 on each slot of a multiset of
+    (degree - |P|)/2 of the sixteen points, as a sorted tuple; nothing when
+    |P| > degree.  Both enumerators below walk this one generator."""
+    size = mask_size(P)
+    if size > degree:
+        return
+    base = [1 if P >> v & 1 else 0 for v in POINTS]
+    for slots in combinations_with_replacement(POINTS, (degree - size) // 2):
+        config = base.copy()
+        for v in slots:
+            config[v] += 2
+        yield slots, tuple(config)
 
-    A profile is odd exactly on its support P, so it is 1 on P plus 2 on
-    each slot of a multiset of (degree - |P|)/2 of the sixteen points;
-    admissibility depends only on P.
-    """
+
+def admissible_profiles(degree: int):
+    """Every admissible multiplicity profile of the given total: the slot
+    multisets of `_on_support` on each admissible support P, coset by coset."""
     _check_degree(degree)
     for which in ("even", "odd"):
         for P in coset_members(which):
-            size = mask_size(P)
-            if size > degree:
-                continue
-            base = [1 if P >> v & 1 else 0 for v in POINTS]
-            for slots in combinations_with_replacement(POINTS, (degree - size) // 2):
-                config = base.copy()
-                for v in slots:
-                    config[v] += 2
-                yield tuple(config)
+            for _, config in _on_support(P, degree):
+                yield config
 
 
 @lru_cache(maxsize=1)
 def _support_classes() -> tuple:
-    """(P, coset, translators of Stab(P) other than 0) for one support P of
-    each translation class of the 64 admissible supports.  The class holds
+    """(P, coset, translations t != 0 in Stab(P)) for one support P of each
+    translation class of the 64 admissible supports.  The class holds
     16 / |Stab(P)| supports, all in P's coset, as the coset sizes differ."""
     classes = {}
     for which in ("even", "odd"):
         for P in coset_members(which):
             key = min(translate_mask(P, t) for t in POINTS)
             if key not in classes:
-                stab = [_TRANSLATORS[t] for t in POINTS[1:] if translate_mask(P, t) == P]
+                stab = [t for t in POINTS[1:] if translate_mask(P, t) == P]
                 classes[key] = (P, which, tuple(stab))
     return tuple(classes.values())
 
@@ -283,30 +273,24 @@ def translation_orbits(degree: int) -> list:
 
     A translation maps an admissible support P onto another one, so every
     class meets the profiles on one fixed P of each support class in exactly
-    one orbit of Stab(P) = {t : P + t = P}.  The scan keeps a profile on P
-    only if it is the least of its Stab(P)-images; its class has 16 / #{t in
-    Stab(P) fixing it} members.  A profile is 1 on P plus twice a
-    composition, and Stab(P) fixes the 1 on P, so the test runs on the
-    composition.  Every profile of the class has its support in P's coset.
+    one orbit of Stab(P) = {t : P + t = P}.  The scan walks `_on_support`
+    as `admissible_profiles` does; Stab(P) fixes the 1 on P, so it acts on
+    the slot multiset alone.  A profile is kept only if its sorted slots are
+    the least of their Stab(P)-images; its class has 16 / #{t in Stab(P)
+    fixing the slots} members, all with supports in P's coset.
     """
     _check_degree(degree)
     orbits = []
     for P, which, stab in _support_classes():
-        size = mask_size(P)
-        if size > degree:
-            continue
-        base = [1 if P >> v & 1 else 0 for v in POINTS]
-        for comp in _compositions((degree - size) // 2, 16):
+        for slots, config in _on_support(P, degree):
             fixing = 1
-            for translate in stab:
-                image = translate(comp)
-                if image < comp:
+            for t in stab:
+                image = tuple(sorted([v ^ t for v in slots]))
+                if image < slots:
                     break
-                fixing += image == comp
+                fixing += image == slots
             else:
-                config = tuple(base[v] + 2 * comp[v] for v in POINTS)
-                rep = orbit_rep(config)
-                orbits.append(Orbit(rep, 16 // fixing, which))
+                orbits.append(Orbit(orbit_rep(config), 16 // fixing, which))
     orbits.sort(key=attrgetter("rep"))
     return orbits
 

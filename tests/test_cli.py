@@ -137,6 +137,9 @@ LAYOUT_PINS = [
     ("genus --g 8 --order 40", "54f89b6957e019f82149fc0544c4b43ac9349c85e895e79f2b60cc6e1acbf414"),
     ("genus --g 12", "a1baf3f22ae407e4b8e7760776118bc195584d8a3d32330b641f810803da27bd"),
     ("genus --g 12 --format csv", "9bca5dabaa1f172f961dfb33143c8172c040ef6d57bab2643a57de8ec69286c0"),
+    # the largest listings, past the degree 12 that the encoding tests reach
+    ("orbits --degree 14 --format json", "fb7c2c36311bc70ca01a6d1b46423867f678867c2eebbbe9c6dd7a34fcba7f13"),
+    ("orbits --degree 16 --format csv", "5133590d4444eb3a70c448dcd439a22d6abebecd4204713e66b3ef9efbb75ebf"),
 ]
 
 

@@ -224,25 +224,6 @@ def test_size4_even_sets_are_the_rows():
     assert small == rows
 
 
-def _compositions_oracle(total, slots):
-    # the recursion the stars-and-bars enumeration replaced: head first, ascending
-    if slots == 1:
-        return [(total,)]
-    return [
-        (head,) + tail
-        for head in range(total + 1)
-        for tail in _compositions_oracle(total - head, slots - 1)
-    ]
-
-
-@pytest.mark.parametrize("slots", [1, 2, 16])
-@pytest.mark.parametrize("total", range(6))
-def test_compositions_match_recursive_oracle(total, slots):
-    got = list(kummer._compositions(total, slots))
-    assert got == _compositions_oracle(total, slots)
-    assert len(got) == comb(total + slots - 1, slots - 1)
-
-
 # -- translation orbits --------------------------------------------------------------
 
 
@@ -453,3 +434,19 @@ def test_class_count_matches_closed_form(degree):
     count = sum(kummer.orbit_counts_by_type(degree).values())
     assert count == closed_form_class_count(degree)
     assert count == CLASS_COUNTS.get(degree, count)
+
+
+@pytest.mark.parametrize("degree", range(4, 17, 2))
+def test_slot_scan_meets_every_profile_once(degree):
+    # the profiles on the size-s supports are SUPPORTS[s] times the multisets
+    # of (d - s)/2 slots over 16 points; a Stab(P) test that keeps two slot
+    # multisets of one orbit, or miscounts the translations fixing one,
+    # breaks the sum or the class count
+    orbits = kummer.translation_orbits(degree)
+    sizes = Counter()
+    for o in orbits:
+        sizes[sum(kv % 2 for kv in o.rep)] += o.size
+    assert sizes == {
+        s: n * comb((degree - s) // 2 + 15, 15) for s, n in SUPPORTS.items() if s <= degree
+    }
+    assert len(orbits) == CLASS_COUNTS[degree]
