@@ -30,9 +30,9 @@ from . import SUITES, counting, kummer, qforms
 DEFAULT_ORDER = 32
 
 # Largest genus per `genus` layout.  The aggregate layouts count orbit
-# classes per shape, and their cost is one f_gk per shape: genus_total(g, 32)
-# took 0.45 s at g = 12 (1,659 shapes) on a 2-vCPU x86-64 VM with
-# Python 3.11, growing about 1.5x per genus (2.1 s at g = 16).  JSON lists
+# classes per profile type, and their cost is one product per type (one per
+# shape): genus_total(g, 32) took 0.15-0.20 s at g = 12 (1,659 types) on a
+# 2-vCPU x86-64 VM with Python 3.11, and 0.9-1.1 s at g = 16.  JSON lists
 # every orbit class by enumeration, and the class count grows about 4x per
 # genus (9,116 at g = 6, 35,884 at g = 7).  Rows are built as written, so
 # `genus --g 7 --format json` (28.9 MB of text) took 1.3-1.9 s and 25 MB

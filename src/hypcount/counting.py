@@ -22,39 +22,27 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import mul
 
 from .errors import DomainError
 from .fps import Series
 from . import kummer, qforms, trig
 
 
-# compose_monomial(m) reads coefficients up to order // m only: padding is never read
-@lru_cache(maxsize=None)
-def _A_u4(j: int, order: int) -> Series:
-    return Series(qforms.macmahon_A(j, order // 4).coeffs, order).compose_monomial(4)
+def _family(kv: int):
+    """(label, builder, u-power): A_((kv-1)/2)(u^4) for odd kv, C_(kv/2)(u^2) for even."""
+    return ("A{}(u^4)", qforms.macmahon_A, 4) if kv % 2 else ("C{}(u^2)", qforms.macmahon_C, 2)
 
 
 @lru_cache(maxsize=None)
-def _C_u2(j: int, order: int) -> Series:
-    return Series(qforms.macmahon_C(j, order // 2).coeffs, order).compose_monomial(2)
+def _factor(kv: int, order: int) -> Series:
+    _, build, m = _family(kv)
+    return build(kv // 2, order // m).compose_monomial(m, order)
 
 
-def _factors(config):
-    """The product formula's pieces, read off the value multiset alone: (power
-    of E, one (label, constructor, index, multiplicity) per distinct value
-    >= 2, sorted by label).  The odd values sit exactly on the odd support P,
-    so there are |P| of them and E appears to the power |P|/2 - 2.  An odd
-    value k gives A_((k-1)/2)(u^4), an even one C_(k/2)(u^2); the values 0
-    and 1 (A_0 = 1) give nothing."""
-    counts = Counter(config)
-    factors = []
-    for kv, mult in counts.items():
-        if kv > 1:  # kv // 2 is (kv - 1) / 2 for odd kv
-            name, make = ("A{}(u^4)", _A_u4) if kv % 2 else ("C{}(u^2)", _C_u2)
-            factors.append((name.format(kv // 2), make, kv // 2, mult))
-    factors.sort(key=itemgetter(0))
-    return sum(mult for kv, mult in counts.items() if kv % 2) // 2 - 2, factors
+def _e_power(values) -> int:
+    # the odd values sit exactly on the odd support P, and E appears to the power |P|/2 - 2
+    return sum(kv % 2 for kv in values) // 2 - 2
 
 
 def shape_label(config) -> str:
@@ -64,10 +52,12 @@ def shape_label(config) -> str:
 
 @lru_cache(maxsize=None)
 def _label(values) -> str:
-    # _factors reads only the value multiset, so each is labelled once
-    epow, factors = _factors(values)
+    # one factor per distinct value >= 2 (A_0 = C_0 = 1), sorted by name
+    epow = _e_power(values)
     parts = [] if epow < 1 else ["E" if epow == 1 else f"E^{epow}"]
-    parts += [name if mult == 1 else f"{name}^{mult}" for name, _, _, mult in factors]
+    counts = Counter(kv for kv in values if kv > 1)
+    names = sorted((_family(kv)[0].format(kv // 2), n) for kv, n in counts.items())
+    parts += [name if n == 1 else f"{name}^{n}" for name, n in names]
     return "*".join(parts) or "1"
 
 
@@ -111,12 +101,10 @@ def f_gk(config, order: int) -> CountSeries:
 @lru_cache(maxsize=None)
 def _product(values, order: int) -> Series:
     """The product formula for an admissible profile type (sorted values)."""
-    epow, factors = _factors(values)
-    acc = qforms.series_E(order) ** epow
-    for _, make, j, mult in factors:
-        factor = make(j, order)
-        for _ in range(mult):
-            acc = acc * factor
+    acc = qforms.series_E(order) ** _e_power(values)
+    for kv in reversed(values):  # high valuations first keep the products short
+        if kv > 1:
+            acc = acc * _factor(kv, order)
     return acc
 
 
@@ -148,7 +136,7 @@ def _potential_term(values, order: int) -> Series:
     h block (k odd) or the g block (k even); zero at the first missing or
     zero column.  A repeated value multiplies its column in again rather
     than take a power, so no positive-power code is shared with _product."""
-    term = Series(qforms.delta_inv_times_q(order // 2).coeffs, order).compose_monomial(2)
+    term = qforms.delta_inv_times_q(order // 2).compose_monomial(2, order)
     term = term.shift(sum(kv % 2 for kv in values) // 2 - 2)
     for kv in values:
         block = trig.theta_block("h" if kv % 2 else "g", order)

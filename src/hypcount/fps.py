@@ -347,14 +347,18 @@ class Series:
 
     # -- structural operations ----------------------------------------------
 
-    def compose_monomial(self, m: int) -> "Series":
-        """Substitute q -> q**m.  Output keeps this order; the tail of the
-        input beyond order//m cannot contribute and is dropped."""
+    def compose_monomial(self, m: int, order: int | None = None) -> "Series":
+        """Substitute q -> q**m up to ``order``, by default this order.  Reads
+        coefficients up to order//m only, and raises when they pass this
+        order rather than take the unknown tail as zero."""
         if m < 1:
             raise DomainError("monomial exponent must be >= 1")
-        out = [0] * (self.order + 1)
-        out[::m] = self._num[: self.order // m + 1]
-        return Series._of(out, self._den, self.order)
+        order = self.order if order is None else order
+        if not 0 <= order // m <= self.order:
+            raise DomainError(f"q -> q^{m} to order {order} needs 0 <= order // m <= {self.order}")
+        out = [0] * (order + 1)
+        out[::m] = self._num[: order // m + 1]
+        return Series._of(out, self._den, order)
 
     def qderiv(self) -> "Series":
         """The operator q d/dq (multiplies the q**n coefficient by n)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement, compress
+from itertools import combinations_with_replacement, compress, repeat
 from math import factorial
 from operator import attrgetter, itemgetter, xor
 
@@ -226,19 +226,20 @@ def _check_degree(degree: int) -> None:
 
 
 def _on_support(P: int, degree: int):
-    """(slots, profile) for every profile of the given total that is odd
-    exactly on the support P: 1 on P plus 2 on each slot of a multiset of
-    (degree - |P|)/2 of the sixteen points, as a sorted tuple; nothing when
-    |P| > degree.  Both enumerators below walk this one generator."""
-    size = mask_size(P)
-    if size > degree:
-        return
+    """(base, slot multisets) of the profiles of the given total odd exactly on
+    the support P: base is 1 on P, and `_with_slots` adds 2 on each slot of a
+    multiset (a sorted tuple) of (degree - |P|)/2 of the sixteen points; no
+    multisets when |P| > degree.  Both enumerators below walk them."""
     base = [1 if P >> v & 1 else 0 for v in POINTS]
-    for slots in combinations_with_replacement(POINTS, (degree - size) // 2):
-        config = base.copy()
-        for v in slots:
-            config[v] += 2
-        yield slots, tuple(config)
+    half = (degree - mask_size(P)) // 2
+    return base, combinations_with_replacement(POINTS, half) if half >= 0 else ()
+
+
+def _with_slots(base: list, slots) -> tuple:
+    config = base.copy()
+    for v in slots:
+        config[v] += 2
+    return tuple(config)
 
 
 def admissible_profiles(degree: int):
@@ -247,8 +248,8 @@ def admissible_profiles(degree: int):
     _check_degree(degree)
     for which in ("even", "odd"):
         for P in coset_members(which):
-            for _, config in _on_support(P, degree):
-                yield config
+            base, multisets = _on_support(P, degree)
+            yield from map(_with_slots, repeat(base), multisets)
 
 
 @lru_cache(maxsize=1)
@@ -275,14 +276,15 @@ def translation_orbits(degree: int) -> list:
     class meets the profiles on one fixed P of each support class in exactly
     one orbit of Stab(P) = {t : P + t = P}.  The scan walks `_on_support`
     as `admissible_profiles` does; Stab(P) fixes the 1 on P, so it acts on
-    the slot multiset alone.  A profile is kept only if its sorted slots are
-    the least of their Stab(P)-images; its class has 16 / #{t in Stab(P)
+    the slot multiset alone.  A profile is built only if its sorted slots
+    are the least of their Stab(P)-images; its class has 16 / #{t in Stab(P)
     fixing the slots} members, all with supports in P's coset.
     """
     _check_degree(degree)
     orbits = []
     for P, which, stab in _support_classes():
-        for slots, config in _on_support(P, degree):
+        base, multisets = _on_support(P, degree)
+        for slots in multisets:
             fixing = 1
             for t in stab:
                 image = tuple(sorted([v ^ t for v in slots]))
@@ -290,7 +292,7 @@ def translation_orbits(degree: int) -> list:
                     break
                 fixing += image == slots
             else:
-                orbits.append(Orbit(orbit_rep(config), 16 // fixing, which))
+                orbits.append(Orbit(orbit_rep(_with_slots(base, slots)), 16 // fixing, which))
     orbits.sort(key=attrgetter("rep"))
     return orbits
 

@@ -130,9 +130,7 @@ def andrews_rose_H(order: int, xdeg: int) -> tuple:
     prefac = Series.from_terms(terms, order)
     cols = [Series.zero(order) for _ in range(xdeg + 1)]
     for k in range(0, (xdeg - 1) // 2 + 1):
-        # compose reads only coefficients up to order // 2; the padding is never read
-        ak = Series(qforms.macmahon_A(k, order // 2).coeffs, order).compose_monomial(2)
-        cols[2 * k + 1] = prefac * ak
+        cols[2 * k + 1] = prefac * qforms.macmahon_A(k, order // 2).compose_monomial(2, order)
     return tuple(cols)
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -73,8 +75,8 @@ def test_fgk_double_triple_is_A1_squared():
 def test_factors_equal_full_order_compose(order):
     # oracle: each MacMahon function built to the full order, then composed
     for j in range(7):
-        assert counting._A_u4(j, order) == qforms.macmahon_A(j, order).compose_monomial(4)
-        assert counting._C_u2(j, order) == qforms.macmahon_C(j, order).compose_monomial(2)
+        assert counting._factor(2 * j + 1, order) == qforms.macmahon_A(j, order).compose_monomial(4)
+        assert counting._factor(2 * j, order) == qforms.macmahon_C(j, order).compose_monomial(2)
 
 
 def test_factors_are_requested_at_the_order_they_feed(monkeypatch):
@@ -91,12 +93,7 @@ def test_factors_are_requested_at_the_order_they_feed(monkeypatch):
     monkeypatch.setattr(qforms, "macmahon_C", recording("C", qforms.macmahon_C))
     monkeypatch.setattr(qforms, "delta_inv_times_q", recording("delta", qforms.delta_inv_times_q))
     # a product or term cached by an earlier test would hide a request
-    for cached in (
-        counting._A_u4,
-        counting._C_u2,
-        counting._product,
-        counting._potential_term,
-    ):
+    for cached in (counting._factor, counting._product, counting._potential_term):
         cached.cache_clear()
     config = profile(ROW0, extra=[(0, 2), (4, 4), (1, 2)])  # A1(u^4) A2(u^4) C1(u^2)
     counting.f_gk(config, 400)
@@ -131,6 +128,35 @@ def test_potential_route_builds_one_term_per_class_key():
             count += 1
     info = counting._potential_term.cache_info()
     assert (count, info.misses, info.hits) == (908, 12, 896)
+
+
+def test_potential_route_reaches_no_product_route_code():
+    # with every cache empty, the potential route must build its term from
+    # theta blocks and q/Delta alone: no MacMahon, divisor or E series, no
+    # product-route helper.  Frames are keyed on (file name, co_name), as
+    # Python 3.10 has no co_qualname
+    for module in sys.modules.copy().values():
+        if module and module.__name__.startswith("hypcount"):
+            for obj in vars(module).values():
+                getattr(obj, "cache_clear", lambda: None)()
+    package = os.path.dirname(counting.__file__)
+    reached = set()
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and os.path.dirname(code.co_filename) == package:
+            reached.add((os.path.basename(code.co_filename), code.co_name))
+
+    before = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        counting.f_gk_via_potential((5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0), 32)
+    finally:
+        sys.setprofile(before)
+    assert {("trig.py", "theta_block"), ("qforms.py", "delta_inv_times_q")} <= reached
+    names = {name for _, name in reached}
+    assert not {n for n in names if n.startswith("macmahon_")}
+    assert not names & {"sigma1_table", "series_A1", "series_E", "_product", "_factor"}
 
 
 def test_routes_agree_on_samples():

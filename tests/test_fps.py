@@ -400,6 +400,32 @@ def test_compose_monomial_nesting():
         assert a.compose_monomial(m).compose_monomial(n) == a.compose_monomial(m * n)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 200), st.integers(1, 5), st.integers(0, 1010), st.integers(0, 2**32))
+@example(40, 4, 161, 1)  # target orders 1, 2 and 3 mod m: order // m rounds down
+@example(40, 4, 162, 2)
+@example(40, 4, 163, 3)
+@example(40, 4, 164, 4)  # needs coefficient 41 of a series of order 40
+@example(0, 3, 2, 5)
+def test_compose_monomial_to_order_matches_padded_copy(order, m, target, seed):
+    s = random_series(random.Random(seed), order)
+    if target // m > order:
+        with pytest.raises(DomainError, match=f"q -> q\\^{m} to order {target}"):
+            s.compose_monomial(m, target)
+        return
+    # oracle: the series padded with zeros to the target order, then composed
+    got = s.compose_monomial(m, target)
+    assert got.order == target
+    assert got == Series(s.coeffs, target).compose_monomial(m)
+
+
+def test_compose_monomial_validates_its_order():
+    with pytest.raises(DomainError, match="to order -1"):
+        Series([1, 2], 1).compose_monomial(2, -1)
+    with pytest.raises(DomainError, match="monomial exponent"):
+        Series([1, 2], 1).compose_monomial(0, 1)
+
+
 # -- qderiv ------------------------------------------------------------------
 
 
