@@ -379,13 +379,14 @@ class Series:
 
     def substitute(self, inner: "Series") -> "Series":
         """Formal composition self(inner); inner must have no constant term."""
-        if inner.coeffs[0] != 0:
+        if inner._num[0]:
             raise NonzeroConstantTerm("inner series must have zero constant term")
-        # Horner from the top: only the first inner.order outer terms matter and
-        # those past self.order are unknown, so the result has order top
+        # Horner from the outer's degree: only the first inner.order outer terms
+        # matter and those past self.order are unknown, so the result has order top
         top = min(self.order, inner.order)
-        result = Series([self.coeffs[top]], top)
-        for n in range(top - 1, -1, -1):
+        degree = max(top - _valuation(self._num[top::-1]), 0)
+        result = Series([self.coeffs[degree]], top)
+        for n in range(degree - 1, -1, -1):
             result = result * inner + self.coeffs[n]
         return result
 

@@ -97,7 +97,7 @@ def in_Pi3(mask: int) -> bool:
     """
     mask &= FULL_MASK
     lin = mask ^ (-(mask & 1) & FULL_MASK)
-    return lin == _LINEAR[(lin >> 1 & 1) | (lin >> 1 & 2) | (lin >> 2 & 4) | (lin >> 5 & 8)]
+    return lin == _LINEAR[lin >> 1 & 3 | lin >> 2 & 4 | lin >> 5 & 8]
 
 
 def affine_threeplanes() -> list:

@@ -33,12 +33,14 @@ def sigma1(n: int) -> int:
     """Sum of the positive divisors of n.  Past the sieve table, the product
     of 1 + p + ... + p^e over the prime powers p^e exactly dividing n: each
     prime is divided out as it is found, and the search stops at the square
-    root of the remaining cofactor, which is then 1 or a prime."""
+    root of the remaining cofactor, which is then 1 or a prime.  The
+    candidates are 2, 3 and the numbers 6k +- 1, a third of all integers;
+    no prime list is kept, since n may lie far past any that fits."""
     if n < 1:
         raise DomainError("sigma1 requires n >= 1")
     if n < len(_sigma_table):
         return _sigma_table[n]
-    total, p = 1, 2
+    total, p, step = 1, 2, 1
     while p * p <= n:
         if n % p == 0:
             power_sum = 1
@@ -46,7 +48,8 @@ def sigma1(n: int) -> int:
                 n //= p
                 power_sum = power_sum * p + 1
             total *= power_sum
-        p += 1 + p % 2  # 2, then the odd candidates
+        p += step
+        step = 6 - step if p > 5 else 2  # 2, 3, then 6k - 1 and 6k + 1: 5, 7, 11, 13, ...
     return total * (n + 1) if n > 1 else total
 
 

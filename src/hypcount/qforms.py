@@ -51,50 +51,53 @@ def series_E2(order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
-def _nested_sum(k: int, order: int, odd_steps: bool) -> Series:
-    """Sum over strictly increasing tuples of indices m (every positive
-    integer, or only the odd ones) of products of the factors
-    q^m/(1-q^m)^2 = sum_{j>=1} j q^(jm), built in one pass over m.
+@lru_cache(maxsize=None)
+def _nested_sums(k: int, order: int, odd_steps: bool) -> tuple:
+    """The levels S_0 = 1, S_1, ..., S_k, each to the full order: S_r sums,
+    over strictly increasing r-tuples of indices m (every positive integer,
+    or only the odd ones), the products of the factors
+    q^m/(1-q^m)^2 = sum_{j>=1} j q^(jm), all built in one pass over m.
 
-    S_r holds the sum over r-tuples of indices below m.  At each m the
-    factor times S_(r-1) is added into S_r for r = k down to 1, so S_r gains
-    exactly the tuples whose last index is m and no index repeats.  The k-r
-    indices still to come exceed m, so S_r is kept only up to order minus
-    their least sum; nothing dropped can reach S_k.
+    At each m the factor times S_(r-1) is added into S_r for r = k down to
+    1, so S_r gains exactly the tuples whose last index is m and no index
+    repeats.  S_r has valuation r + step r(r-1)/2 (the indices 1, 1+step,
+    ...), so the levels past the order are zero and left off the tuple, and
+    a step is skipped when q^m S_(r-1) starts past the order.
 
     Each S_r is one big int of w-bit fields (Kronecker substitution, as in
     the fps kernel): q^m S_(r-1) is a shift, and a division by 1 - q^m is
     doubling steps t (1 + q^m)(1 + q^2m)(1 + q^4m)...  Every field is a
     nonnegative sub-sum of [q^n] A_1^r <= C(n-1, r-1) sigma_max^r (a sum over
-    the compositions of n into r parts), so no field at or below the cap
+    the compositions of n into r parts), so no field at or below the order
     overflows; fields above it only carry upward, and the mask drops them.
     """
-    if k == 0:
-        return Series.one(order)
     step = 2 if odd_steps else 1
-    if k + step * k * (k - 1) // 2 > order:  # the valuation of S_k
-        return Series.zero(order)
-    sigma_max = max(sigma1_table(order)[1 : order + 1])
-    # one spare bit: fps._unpack reads signed fields
-    w = max(comb(order - 1, r - 1) * sigma_max**r for r in range(1, k + 1)).bit_length() + 1
-    sums = [1] + [0] * k
-    for m in range(1, order + 1, step):
-        for r in range(k, 0, -1):
-            cap = order - (k - r) * m - step * (k - r) * (k - r + 1) // 2
-            if cap < m:
-                continue
-            term = sums[r - 1] << (w * m)  # q^m S_(r-1)
-            # (1 + q^m)(1 + q^2m)... over the spans is sum_(j < 2^i) q^(jm), past q^(cap - m)
-            spans = [w * m << i for i in range((cap // m - 1).bit_length())]
-            mask = (1 << (w * (cap + 1))) - 1
-            for _ in range(2):  # divide by 1 - q^m twice
-                for span in spans:
-                    term += term << span
-                term &= mask
-            sums[r] += term
-    coeffs = []
-    _unpack(sums[k], order + 1, w, coeffs)
-    return Series(coeffs, order)
+    low = [r + step * r * (r - 1) // 2 for r in range(k + 1)]
+    top = sum(1 for v in low[1:] if v <= order)  # the valuations increase with r
+    sums = [1] + [0] * top
+    if top:
+        sigma_max = max(sigma1_table(order)[1 : order + 1])
+        # one spare bit: fps._unpack reads signed fields
+        w = max(comb(order - 1, r - 1) * sigma_max**r for r in range(1, top + 1)).bit_length() + 1
+        mask = (1 << (w * (order + 1))) - 1
+        for m in range(1, order + 1, step):
+            # (1 + q^m)(1 + q^2m)... over the spans is sum_(j < 2^i) q^(jm), past q^(order - m)
+            spans = [w * m << i for i in range((order // m - 1).bit_length())]
+            for r in range(top, 0, -1):
+                if m + low[r - 1] > order:
+                    continue
+                term = sums[r - 1] << (w * m)  # q^m S_(r-1)
+                for _ in range(2):  # divide by 1 - q^m twice
+                    for span in spans:
+                        term += term << span
+                    term &= mask
+                sums[r] += term
+    levels = [Series.one(order)]
+    for total in sums[1:]:
+        coeffs = []
+        _unpack(total, order + 1, w, coeffs)
+        levels.append(Series(coeffs, order))
+    return tuple(levels)
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +106,8 @@ def macmahon_A_direct(k: int, order: int) -> Series:
     q^(m_1+...+m_k) / prod (1-q^(m_i))^2, truncated at ``order``."""
     if k < 0 or order < 0:
         raise DomainError("k and order must be >= 0")
-    return _nested_sum(k, order, odd_steps=False)
+    levels = _nested_sums(k, order, odd_steps=False)
+    return levels[k] if k < len(levels) else Series.zero(order)
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +117,8 @@ def macmahon_C_direct(k: int, order: int) -> Series:
     divisor sum over strictly increasing odd indices."""
     if k < 0 or order < 0:
         raise DomainError("k and order must be >= 0")
-    return _nested_sum(k, order, odd_steps=True)
+    levels = _nested_sums(k, order, odd_steps=True)
+    return levels[k] if k < len(levels) else Series.zero(order)
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,8 @@ def theta_block_from_lattice_sum(kind: str, bound: int, order: int) -> tuple:
     pair into cosines.  h-points carry e^(iz/2) sum (-1)^k u^(2k^2+2k) e^(ikz);
     the k and -k-1 terms pair into 2 sin((2k+1)z/2) factors (the unpaired
     k = bound term sits above u^order once 2 bound^2 > order).  Each exact
-    z-series is then rewritten in x through z = 2 arcsin(x/2).
+    z-series is then rewritten in x through z = 2 arcsin(x/2), as a linear
+    combination of the powers of that x-series, built once per block.
 
     This route never touches Chebyshev polynomials, so comparing it with
     theta_block checks the closed Chebyshev forms end to end.
@@ -202,11 +203,14 @@ def theta_block_from_lattice_sum(kind: str, bound: int, order: int) -> tuple:
         raise BoundTooSmall(f"need 2*bound^2 > order (bound={bound}, order={order})")
     xdeg = block_xdeg(kind, order)
     zx = z_of_x(xdeg)
+    powers = [Series.one(xdeg)]  # z^j as x-series, j = 0..xdeg, shared by every term
+    for _ in range(xdeg):
+        powers.append(powers[-1] * zx)
     cols = [dict() for _ in range(xdeg + 1)]
 
     def add(e: int, sign: int, zser: Series):
-        xser = zser.substitute(zx)
-        for i, c in enumerate(xser.coeffs[: xdeg + 1]):
+        xser = sum((p * c for p, c in zip(powers, zser.coeffs) if c), Series.zero(xdeg))
+        for i, c in enumerate(xser.coeffs):
             if c:
                 cols[i][e] = cols[i].get(e, 0) + sign * c
 
@@ -303,8 +307,40 @@ def ode_residuals(h: Series):
     return r1, r2
 
 
+def ode_holds(h: Series, order: int) -> bool:
+    """h'' + h/4 = 0 and h' h'' + h h'/4 = 0 to the given order, in scaled
+    divided powers (Wilf, generatingfunctionology, Ch. 2); h needs order + 2.
+
+    With H_n = 2^n n! [z^n] h, h = sum H_n (z/2)^n / n!: a derivative shifts
+    H and halves, and a product of two such series is the binomial
+    convolution of their sequences.  So the residuals at z^n scale to
+    H_(n+2) + H_n and sum_k C(n,k) (H_(k+1) H_(n-k+2) + H_k H_(n-k+1)), with
+    small integer entries where the Series route multiplies coefficients
+    over a denominator near (order)!.  Every H_n of 2 sin(z/2) is 0 or +-2,
+    and any other value fails.  The convolution pairs k with n - k, which
+    share a running binomial, and skips each n whose terms are all zero."""
+    H, scale = [], 1
+    for n, c in enumerate(h.coeffs[: order + 3]):
+        H.append(c * scale)
+        scale *= 2 * (n + 1)
+    if not all(c in (0, 2, -2) for c in H):
+        return False
+    H = list(map(int, H))  # from Fractions of denominator 1
+    for n in range(order + 1):
+        if H[n + 2] + H[n]:
+            return False
+        terms = [H[k + 1] * H[n - k + 2] + H[k] * H[n - k + 1] for k in range(n + 1)]
+        if any(terms):
+            total, binom = 0, 1
+            for k in range(n // 2 + 1):
+                total += binom * (terms[k] + terms[n - k] if 2 * k < n else terms[k])
+                binom = binom * (n - k) // (k + 1)
+            if total:
+                return False
+    return True
+
+
 def h_ode_check(order: int) -> bool:
-    """True iff h = 2 sin(q/2) satisfies h'' + h/4 = 0 and
+    """True iff h = 2 sin(z/2) satisfies h'' + h/4 = 0 and
     h' h'' + h h'/4 = 0 as formal series to the given order."""
-    r1, r2 = ode_residuals(two_sin_half(order + 2))
-    return r1.truncate(order).is_zero() and r2.truncate(order).is_zero()
+    return ode_holds(two_sin_half(order + 2), order)

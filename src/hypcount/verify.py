@@ -12,9 +12,11 @@ import json
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import partial, reduce
 from importlib import resources
 from itertools import combinations, combinations_with_replacement
 from math import isqrt
+from operator import xor
 
 from .fps import Series
 from . import SUITES, counting, kummer, numtheory, qforms, trig
@@ -112,16 +114,18 @@ def check_coeff_denominators(order, rng):
 
 def check_macmahon_A_cross(order, rng):
     o = max(order, 256)
+    nested = qforms._nested_sums(5, o, odd_steps=False)  # levels 0..5 in one pass
     for k in range(1, 6):
-        if qforms.macmahon_A_direct(k, o) != qforms.macmahon_A_recursive(k, o):
+        if nested[k] != qforms.macmahon_A_recursive(k, o):
             return False, f"A_{k} nested sum != recursion at order {o}"
     return True, f"A_k nested sums equal recursions, k=1..5, order {o}"
 
 
 def check_macmahon_C_cross(order, rng):
     o = max(order, 256)
+    nested = qforms._nested_sums(5, o, odd_steps=True)
     for k in range(1, 6):
-        if qforms.macmahon_C_direct(k, o) != qforms.macmahon_C_recursive(k, o):
+        if nested[k] != qforms.macmahon_C_recursive(k, o):
             return False, f"C_{k} nested sum != recursion at order {o}"
     return True, f"C_k nested sums equal recursions, k=1..5, order {o}"
 
@@ -327,7 +331,7 @@ def check_pi3_structure(order, rng):
     members = kummer.pi3_members()
     if len(members) != 32:
         return False, f"|Pi_3| = {len(members)}"
-    hits = sum(1 for m in range(1 << 16) if kummer.in_Pi3(m))
+    hits = sum(map(kummer.in_Pi3, range(1 << 16)))
     if hits != 32:
         return False, f"affine-indicator test accepts {hits} subsets"
     if not all(kummer.in_Pi3(m) for m in members):
@@ -384,14 +388,11 @@ def check_orbit_partition(order, rng):
     by_degree = {}
     for degree in (4, 6):
         # independent recount: a profile of total d is a multiset of d
-        # points, and its odd support is the XOR of 1 << v over them
-        admissible = 0
-        for points in combinations_with_replacement(range(16), degree):
-            support = 0
-            for v in points:
-                support ^= 1 << v
-            if kummer.admissible(support):
-                admissible += 1
+        # points, and its odd support is the XOR of 1 << v over them; a
+        # Counter of the distinct supports would cost 0.6 MB of peak memory
+        bits = [1 << v for v in range(16)]
+        supports = map(partial(reduce, xor), combinations_with_replacement(bits, degree))
+        admissible = sum(1 for _ in filter(kummer.admissible, supports))
         orbits = by_degree[degree] = kummer.translation_orbits(degree)
         total = sum(o.size for o in orbits)
         if total != admissible:

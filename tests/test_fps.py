@@ -648,3 +648,26 @@ def test_qderiv_product_rule_hypothesis(abc):
 def test_substitute_nesting_hypothesis(fgh):
     f, g, h = fgh
     assert f.substitute(g).substitute(h) == f.substitute(g.substitute(h))
+
+
+def substitute_by_full_horner(outer, inner):
+    # the Horner loop from the top index, whatever the outer's degree
+    top = min(outer.order, inner.order)
+    result = Series([outer.coeffs[top]], top)
+    for n in range(top - 1, -1, -1):
+        result = result * inner + outer.coeffs[n]
+    return result
+
+
+@derandomized
+@given(st.integers(0, 12), st.integers(0, 13), st.integers(0, 12), st.integers(0, 2**31))
+def test_substitute_from_the_outer_degree_equals_full_horner(order, zeros, inner_order, seed):
+    # the outer's top coefficients are zero (all of them when zeros > order)
+    rng = random.Random(seed)
+    coeffs = list(random_series(rng, order).coeffs)
+    coeffs[max(order + 1 - zeros, 0) :] = [0] * min(zeros, order + 1)
+    outer = Series(coeffs, order)
+    inner = Series([0] + list(random_series(rng, inner_order).coeffs[1:]), inner_order)
+    got = outer.substitute(inner)
+    assert got == substitute_by_full_horner(outer, inner)
+    assert got.order == min(order, inner_order)

@@ -142,6 +142,22 @@ def test_sigma1_factoring_matches_divisor_pairs_on_random_n(no_sieve):
         assert sigma1(n) == sigma1_by_divisor_pairs(n)
 
 
+def test_sigma1_wheel_on_small_primes_and_wheel_squares(no_sieve):
+    # n = 2^a 3^b 5^c 7^d p^2 q^2: the primes before the 6k +- 1 wheel, the
+    # wheel's first two spokes, and squares of primes on both residues mod 6
+    wheel_primes = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 97, 101, 211, 223)
+    rng = random.Random(6161)
+    for _ in range(200):
+        n = 2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 4) * 5 ** rng.randint(0, 3) * 7 ** rng.randint(0, 3)
+        for p in rng.sample(wheel_primes, rng.randint(0, 2)):
+            n *= p * p
+        if n <= 10**10:  # the oracle loops to sqrt(n)
+            assert sigma1(n) == sigma1_by_divisor_pairs(n)
+    for p in (5, 7, 11, 13):
+        assert sigma1(p * p) == 1 + p + p * p
+        assert sigma1(4 * p**3) == 7 * (1 + p + p * p + p**3)
+
+
 def test_sigma1_halving_examples():
     assert sigma1_lemma_check(6)  # 12 = 3*4
     assert sigma1_lemma_check(8)  # 15 = 3*7 - 2*3

@@ -159,23 +159,21 @@ def test_C_past_valuation_is_zero_without_recursing():
 # -- nested sums: packed big ints against the coefficient loop ---------------
 
 
-def nested_sum_by_coefficients(k, order, odd_steps):
-    # the same pass over m as qforms._nested_sum, one coefficient at a time
+def nested_sums_by_coefficients(k, order, odd_steps):
+    # the same pass over m as qforms._nested_sums, one coefficient at a time,
+    # every level to the full order
     step = 2 if odd_steps else 1
     sums = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(k)]
     for m in range(1, order + 1, step):
         for r in range(k, 0, -1):
-            cap = order - (k - r) * m - step * (k - r) * (k - r + 1) // 2
-            if cap < m:
-                continue
-            term = [0] * m + sums[r - 1][: cap + 1 - m]  # q^m S_(r-1)
+            term = [0] * m + sums[r - 1][: order + 1 - m]  # q^m S_(r-1)
             for _ in range(2):  # divide by 1 - q^m twice
-                for e in range(m, cap + 1):
+                for e in range(m, order + 1):
                     term[e] += term[e - m]
             dst = sums[r]
-            for e in range(m, cap + 1):
+            for e in range(m, order + 1):
                 dst[e] += term[e]
-    return Series(sums[k], order)
+    return [Series(s, order) for s in sums]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -191,9 +189,13 @@ def nested_sum_by_coefficients(k, order, odd_steps):
 @example(5, 1024, False)
 @example(5, 1024, True)
 def test_packed_nested_sum_matches_coefficient_loop(k, order, odd_steps):
-    got = qforms._nested_sum(k, order, odd_steps)
-    assert got == nested_sum_by_coefficients(k, order, odd_steps)
-    assert set(map(type, got.coeffs)) <= {int}
+    # every level the pass returns is the oracle's; the levels it leaves off
+    # are the zero ones past the order
+    got = qforms._nested_sums(k, order, odd_steps)
+    want = nested_sums_by_coefficients(k, order, odd_steps)
+    assert list(got) == want[: len(got)]
+    assert all(s.is_zero() for s in want[len(got) :])
+    assert all(set(map(type, s.coeffs)) <= {int} for s in got)
 
 
 # -- E, E2, delta, pochhammer, theta ------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -140,9 +141,14 @@ def test_G_x0_coefficient_is_pochhammer_quotient(order):
 
 
 def test_lattice_sums_rebuild_blocks():
-    for kind in ("h", "g"):
-        direct = trig.theta_block_from_lattice_sum(kind, 5, 32)
-        assert direct == trig.theta_block(kind, 32)
+    # the power-table route against the Chebyshev blocks, at the least bound
+    # (2 bound^2 > order) and past it
+    for order, bounds in ((0, (1, 3)), (1, (1,)), (2, (2,)), (8, (3, 4)), (24, (4,)),
+                          (32, (5, 9)), (127, (8, 12)), (512, (17,))):
+        for kind in ("h", "g"):
+            for bound in bounds:
+                direct = trig.theta_block_from_lattice_sum(kind, bound, order)
+                assert direct == trig.theta_block(kind, order)
 
 
 def test_lattice_sum_bound_guard():
@@ -233,3 +239,44 @@ def test_h_ode_perturbed_fails():
     coeffs[3] += Fraction(1, 7)
     r1, r2 = trig.ode_residuals(Series(coeffs, 18))
     assert not (r1.truncate(16).is_zero() and r2.truncate(16).is_zero())
+
+
+def ode_holds_by_series(h, order):
+    r1, r2 = trig.ode_residuals(h)
+    return r1.truncate(order).is_zero() and r2.truncate(order).is_zero()
+
+
+PERTURBATIONS = {
+    "none": lambda c, i: c,
+    "flip": lambda c, i: -c,
+    "zero": lambda c, i: 0,
+    "1/7!": lambda c, i: c + Fraction(1, factorial(7)),
+    "H+2": lambda c, i: c + Fraction(2, 2**i * factorial(i)),  # H_i grows by 2
+}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 256), st.integers(0, 258), st.sampled_from(sorted(PERTURBATIONS)))
+@example(0, 0, "none")
+@example(0, 2, "H+2")
+@example(1, 3, "1/7!")
+@example(256, 0, "none")
+@example(256, 258, "flip")
+@example(256, 257, "zero")
+def test_h_ode_divided_powers_agree_with_series_route(order, index, how):
+    # one coefficient of 2 sin(z/2) changed at or below z^(order + 2), the
+    # range both routes read; the divided-power route also fails every H_n
+    # outside {0, 2, -2}, which a one-coefficient change never reaches alone
+    coeffs = list(trig.two_sin_half(order + 2).coeffs)
+    i = index % (order + 3)
+    coeffs[i] = PERTURBATIONS[how](coeffs[i], i)
+    h = Series(coeffs, order + 2)
+    assert trig.ode_holds(h, order) == ode_holds_by_series(h, order)
+    assert trig.ode_holds(h, order) == (h == trig.two_sin_half(order + 2))
+
+
+@pytest.mark.parametrize("order", [16, 64])
+def test_h_ode_mutants_fail_both_routes(order):
+    for h in (trig.scaled_sin(1, order + 2), trig.scaled_sin(Fraction(1, 3), order + 2) * 2):
+        assert not trig.ode_holds(h, order)
+        assert not ode_holds_by_series(h, order)
