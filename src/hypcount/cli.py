@@ -34,11 +34,11 @@ DEFAULT_ORDER = 32
 # shape): genus_total(g, 32) took 0.15-0.20 s at g = 12 (1,659 types) on a
 # 2-vCPU x86-64 VM with Python 3.11, and 0.9-1.1 s at g = 16.  JSON lists
 # every orbit class by enumeration, and the class count grows about 4x per
-# genus (9,116 at g = 6, 35,884 at g = 7).  Rows are built as written, so
-# `genus --g 7 --format json` (28.9 MB of text) took 1.3-1.9 s and 25 MB
-# peak RSS end to end on a 2-vCPU VM.  GENUS_MAX_LISTED bounds both
-# listings: `orbits` takes degrees up to 2 * 7 + 2 = 16, which took 0.8-1.3 s
-# and 25 MB in each layout; degree 18 (124,236 classes) took 4-5 s and 49 MB.
+# genus (9,116 at g = 6, 35,884 at g = 7).  Rows are spliced into templates
+# as written, so `genus --g 7 --format json` (28.9 MB) took 0.66-0.89 s and
+# 25 MB peak RSS end to end on a 2-vCPU VM.  GENUS_MAX_LISTED bounds both
+# listings: `orbits` takes degrees up to 2 * 7 + 2 = 16, which took 0.57-0.89 s
+# and 25 MB in each layout; degree 18 (124,236 classes) took 1.9-2.1 s, 48 MB.
 GENUS_MAX = 12
 GENUS_MAX_LISTED = 7
 
@@ -53,15 +53,19 @@ ORDER_MAX = 8192
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+class _Encoded(str):
+    """JSON text, already encoded at the indent where it is written."""
+
+
 def _json_pieces(obj, nl=None):
     """The canonical JSON text of obj, in pieces, so that no caller holds it
     whole: byte for byte what the stdlib's json.dumps writes with sorted
     keys, an indent of 2 and (",", ": ") separators, plus a final newline.
 
     An iterator stands for the list of its items and is read one item at a
-    time.  A list of only str or only int (never bool) is encoded in one
-    C-level join; each element of any other list or iterator is one piece.
-    Nothing is kept between pieces."""
+    time.  A list of only str is encoded in one C-level join; each element
+    of any other list or iterator is one piece, and an _Encoded element is
+    written as it is.  Nothing is kept between pieces."""
     if nl is None:  # the whole document: its text, then a final newline
         yield from _json_pieces(obj, "\n")
         yield "\n"
@@ -85,14 +89,12 @@ def _json_pieces(obj, nl=None):
             sep = "," + inner
         yield nl + "}"
     elif isinstance(obj, (list, tuple, Iterator)):
-        kinds = set(map(type, obj)) if isinstance(obj, (list, tuple)) else None
-        if kinds == {str} or kinds == {int}:
-            encode = _encode_str if kinds == {str} else str
-            yield "[" + inner + ("," + inner).join(map(encode, obj)) + nl + "]"
+        if isinstance(obj, (list, tuple)) and set(map(type, obj)) == {str}:
+            yield "[" + inner + ("," + inner).join(map(_encode_str, obj)) + nl + "]"
             return
         sep = "[" + inner
         for x in obj:
-            yield sep + "".join(_json_pieces(x, inner))
+            yield sep + (x if type(x) is _Encoded else "".join(_json_pieces(x, inner)))
             sep = "," + inner
         yield "[]" if sep[0] == "[" else nl + "]"  # still "[": no item was met
     else:
@@ -101,6 +103,28 @@ def _json_pieces(obj, nl=None):
 
 def _canonical_json(data) -> str:
     return "".join(_json_pieces(data))
+
+
+def _listing_rows(orbits, nl, shapes=None):
+    """The JSON text of each orbit class's listing row at indent nl, as
+    _Encoded: its fields, its shape and, if shapes maps each shape to
+    (multiplicity, series) as CountReport.shapes does, the shape's series.
+    The text is encoded once per (shape, coset), with a hole "\\u0000" (a
+    NUL that no field holds) for orbit_size and for each entry of rep, which
+    each class fills in."""
+    templates = {}
+    for rep, size, coset in orbits:
+        values = tuple(sorted(rep))  # types and shapes correspond one to one
+        layout = templates.get((values, coset))
+        if layout is None:
+            shape = counting.shape_label(values)
+            row = {"coset": coset, "orbit_size": "\0", "rep": ["\0"] * 16, "shape": shape}
+            row.update(shapes[shape][1].to_json() if shapes else {})
+            # the key orbit_size sorts before rep, whose 16 holes share one separator
+            head, mid, sep, *_, tail = "".join(_json_pieces(row, nl)).split('"\\u0000"')
+            layout = templates[values, coset] = head, mid, sep, tail
+        head, mid, sep, tail = layout
+        yield _Encoded(f"{head}{size}{mid}{sep.join(map(str, rep))}{tail}")
 
 
 def _env_order() -> int:
@@ -189,7 +213,9 @@ def cmd_genus(args) -> tuple:
         raise DomainError(f"genus must be between 1 and {GENUS_MAX}")
     report = counting.genus_total(args.g, args.order)
     if args.format == "json":
-        return _json_pieces(report.listing()), 0
+        rows = _listing_rows(report.orbits, "\n    ", report.shapes)
+        total = report.total.to_json()["coeffs"]
+        return _json_pieces(dict(genus=args.g, order=args.order, orbits=rows, total=total)), 0
     if args.format == "csv":
         cells = _table_cells(report, "multiplicity")
         return "\n".join(",".join(row) for row in cells) + "\n", 0
@@ -209,16 +235,15 @@ def cmd_orbits(args) -> tuple:
     if args.degree > 2 * GENUS_MAX_LISTED + 2:
         raise DomainError(f"degree must be <= {2 * GENUS_MAX_LISTED + 2}")
     orbits = kummer.translation_orbits(args.degree)
-    rows = counting._orbit_rows(orbits)
     if args.format == "json":
-        return _json_pieces(rows), 0
+        return _json_pieces(_listing_rows(orbits, "\n  ")), 0
     if args.format == "csv":
-        head, rep_sep = "rep,orbit_size,coset,shape", " "
-        layout = "{},{orbit_size},{coset},{shape}"
+        head, rep_sep, layout = "rep,orbit_size,coset,shape", " ", "{},{},{},{}\n"
     else:
         head, rep_sep = f"degree {args.degree}: {len(orbits)} orbit classes", ","
-        layout = "  [{}] size {orbit_size:>2} {coset:<5} {shape}"
-    lines = (layout.format(rep_sep.join(map(str, row["rep"])), **row) + "\n" for row in rows)
+        layout = "  [{}] size {:>2} {:<5} {}\n"
+    lines = (layout.format(rep_sep.join(map(str, rep)), size, coset, counting.shape_label(rep))
+             for rep, size, coset in orbits)
     return chain([head + "\n"], lines), 0
 
 

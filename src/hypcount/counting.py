@@ -183,14 +183,6 @@ def gottsche_reconcile(order: int) -> bool:
     return a1.qderiv().qderiv() == want
 
 
-def _orbit_rows(orbits, shape_series=None):
-    """One listing row per enumerated orbit class, built only when read: its
-    fields, its shape and, if shape_series maps shapes to it, the series JSON."""
-    for orbit in orbits:
-        shape = shape_label(orbit.rep)
-        yield {**orbit.to_json(), "shape": shape, **(shape_series[shape] if shape_series else {})}
-
-
 class CountReport(namedtuple("CountReport", "genus order shapes total")):
     """Genus aggregate.  ``shapes`` maps each shape label to (number of
     translation-orbit classes of that shape, the shape's series); ``total``
@@ -206,19 +198,16 @@ class CountReport(namedtuple("CountReport", "genus order shapes total")):
     def shape_multiplicities(self) -> dict:
         return {shape: mult for shape, (mult, _) in self.shapes.items()}
 
-    def listing(self) -> dict:
-        """The JSON document, its rows read lazily from orbits enumerated now."""
-        shape_series = {shape: series.to_json() for shape, (_, series) in self.shapes.items()}
-        return {
-            "genus": self.genus,
-            "order": self.order,
-            "orbits": _orbit_rows(self.orbits, shape_series),
-            "total": self.total.to_json()["coeffs"],
-        }
-
     def to_json(self) -> dict:
-        data = self.listing()
-        return {**data, "orbits": list(data["orbits"])}
+        """The document of `genus --format json`: one row per orbit class,
+        with its shape and the shape's series, then the total."""
+        rows = []
+        for rep, size, coset in self.orbits:
+            shape = shape_label(rep)
+            row = {"rep": list(rep), "orbit_size": size, "coset": coset, "shape": shape}
+            rows.append({**row, **self.shapes[shape][1].to_json()})
+        total = self.total.to_json()["coeffs"]
+        return {"genus": self.genus, "order": self.order, "orbits": rows, "total": total}
 
     def table_rows(self):
         """Rows shaped like the reference coefficient table: one row per

@@ -209,15 +209,13 @@ def orbit_of(config) -> set:
 
 
 def orbit_rep(config):
-    """Canonical representative: lexicographically least translate."""
-    return min(translate(config) for translate in _TRANSLATORS)
+    """Canonical representative: lexicographically least translate.  The
+    translate by t starts with config[t], so only a t at a least entry can win."""
+    low = min(config)
+    return min([_TRANSLATORS[t](config) for t in POINTS if config[t] == low])
 
 
-class Orbit(namedtuple("Orbit", "rep size coset")):
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"rep": list(self.rep), "orbit_size": self.size, "coset": self.coset}
+Orbit = namedtuple("Orbit", "rep size coset")
 
 
 def _check_degree(degree: int) -> None:

@@ -150,10 +150,10 @@ def check_poch_split(order, rng):
     o = max(order, 70)  # a generalized pentagonal number: (q;q) has a q^70 term
     ok = qforms.pochhammer(1, 1, o) * qforms.pochhammer(-1, 1, o) == qforms.pochhammer(1, 2, o)
     for sign, scale in ((1, 1), (-1, 1), (1, 2)):
-        product = Series.one(o)
-        for k in range(1, o // scale + 1):
-            product = product * Series.from_terms({0: 1, k * scale: -sign}, o)
-        ok = ok and qforms.pochhammer(sign, scale, o) == product
+        c = [1] + [0] * o  # times 1 - sign q^m, in place, for m = scale, 2 scale, ...
+        for m in range(scale, o + 1, scale):
+            c[m:] = [x - sign * y for x, y in zip(c[m:], c)]
+        ok = ok and qforms.pochhammer(sign, scale, o) == Series(c, o)
     return ok, f"(q;q), (-q;q), (q^2;q^2) by finite products; (q;q)(-q;q) = (q^2;q^2) to order {o}"
 
 

@@ -140,6 +140,12 @@ LAYOUT_PINS = [
     # the largest listings, past the degree 12 that the encoding tests reach
     ("orbits --degree 14 --format json", "fb7c2c36311bc70ca01a6d1b46423867f678867c2eebbbe9c6dd7a34fcba7f13"),
     ("orbits --degree 16 --format csv", "5133590d4444eb3a70c448dcd439a22d6abebecd4204713e66b3ef9efbb75ebf"),
+    ("orbits --degree 16 --format json", "25c853831107e4fc40aab4bb3513c57c2731b5f219ac6df56619682624bb00c4"),
+    ("orbits --degree 16", "ce66b6ecef763ee7d91603f6fb7af2d71c6e9e59d768d9316f64b4aab793048b"),
+    # the largest genus listing, and one with a single coefficient per row:
+    # every row of a (shape, coset) is spliced into one encoded template
+    ("genus --g 7 --format json", "69d8dd280ca845da096ae2841889ce596b011e71fddbd0423a4e52a774d864d8"),
+    ("genus --g 1 --order 0 --format json", "fc92f3c12681a6a2f7934f20e56011d61188176b067a3efd5ce63fc6fcf0d90d"),
     # orders not divisible by 4, where each factor's order // m rounds down
     ("genus --g 6 --order 127 --table", "abaa1c227260ee149a1e6ae71acde54ad9a1a8ccd3db6ffa33b620ecd6a98491"),
     ("genus --g 7 --order 129 --format csv", "f9a2698406d5dad59931b0d5f40b6ab95a5fc869e5b5c901267e3fb8eb6072b5"),
@@ -217,8 +223,8 @@ shared = ["\u00e9", 3]
 @example([])
 @example({"rows": ["x", 1, None, [2, "y"], {"z": True}], "total": ["1"]})
 def test_canonical_json_matches_json_dumps(value):
-    # a list takes the one-join path only when its elements are all str or
-    # all int, never bool; an iterator is written as the list of its items
+    # a list takes the one-join path only when its elements are all str; an
+    # iterator is written as the list of its items
     assert cli._canonical_json(value) == reference_json(value)
     assert cli._canonical_json(streamed(value)) == reference_json(value)
 
@@ -244,8 +250,8 @@ def test_orbits_json_listing_equals_reference_encoding(capsys, degree):
     code, out, _ = run(capsys, "orbits", "--degree", str(degree), "--format", "json")
     assert code == 0
     payload = [
-        {**o.to_json(), "shape": counting.shape_label(o.rep)}
-        for o in kummer.translation_orbits(degree)
+        {"rep": list(rep), "orbit_size": size, "coset": coset, "shape": counting.shape_label(rep)}
+        for rep, size, coset in kummer.translation_orbits(degree)
     ]
     assert out == reference_json(payload)
 

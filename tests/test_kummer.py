@@ -5,7 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypcount.errors import DomainError, HypcountError
 from hypcount import kummer
@@ -306,6 +306,17 @@ def test_orbit_rep_is_lex_least():
     orbits = kummer.translation_orbits(8)
     for o in rng.sample(orbits, 10):
         assert o.rep == min(kummer.orbit_of(o.rep))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(0, 3)] * 16))
+@example((0,) * 16)
+@example((2,) * 16)
+@example((0,) * 9 + (5,) + (0,) * 6)
+@example((3, 3, 1, 3, 0, 3, 0, 3, 0, 3, 1, 1, 0, 1, 2, 1))  # four tied minima, the last one least
+def test_orbit_rep_is_least_of_all_translates(config):
+    # orbit_rep compares only the translates that start with min(config)
+    assert kummer.orbit_rep(config) == min(kummer.orbit_of(config))
 
 
 @pytest.mark.parametrize("degree", [4, 6, 8, 10, 12])
