@@ -10,6 +10,8 @@ layout, pieces built one orbit class at a time from a list enumerated
 before the command returns; main() alone writes it, with one writelines to
 --out or stdout, and turns errors into an ``error: <msg>`` line.  A stdout
 closed early (``| head``) is no error: the rest is dropped, the code stays.
+Every JSON byte is json.dumps' own, with sorted keys and an indent of 2; a
+JSON listing splices its rows into the text of its document.
 
 Configuration precedence is flags > environment > defaults; the recognized
 environment variables are HYPCOUNT_ORDER and HYPCOUNT_CACHE_DIR.
@@ -21,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterator
 from itertools import chain
 
 from .errors import DomainError, HypcountError
@@ -50,69 +51,32 @@ GENUS_MAX_LISTED = 7
 ORDER_MAX = 8192
 
 
-_encode_str = json.encoder.encode_basestring_ascii
+_HOLE = '"\\u0000"'  # the JSON text of the string "\0", which no field holds
 
 
-class _Encoded(str):
-    """JSON text, already encoded at the indent where it is written."""
-
-
-def _json_pieces(obj, nl=None):
-    """The canonical JSON text of obj, in pieces, so that no caller holds it
-    whole: byte for byte what the stdlib's json.dumps writes with sorted
-    keys, an indent of 2 and (",", ": ") separators, plus a final newline.
-
-    An iterator stands for the list of its items and is read one item at a
-    time.  A list of only str is encoded in one C-level join; each element
-    of any other list or iterator is one piece, and an _Encoded element is
-    written as it is.  Nothing is kept between pieces."""
-    if nl is None:  # the whole document: its text, then a final newline
-        yield from _json_pieces(obj, "\n")
-        yield "\n"
-        return
-    inner = nl + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        sep = "{" + inner
-        for key in sorted(obj):
-            value = obj[key]
-            head = sep + _encode_str(key) + ": "
-            if type(value) is str:
-                yield head + _encode_str(value)
-            elif type(value) is int:
-                yield head + str(value)
-            else:
-                yield head
-                yield from _json_pieces(value, inner)
-            sep = "," + inner
-        yield nl + "}"
-    elif isinstance(obj, (list, tuple, Iterator)):
-        if isinstance(obj, (list, tuple)) and set(map(type, obj)) == {str}:
-            yield "[" + inner + ("," + inner).join(map(_encode_str, obj)) + nl + "]"
-            return
-        sep = "[" + inner
-        for x in obj:
-            yield sep + (x if type(x) is _Encoded else "".join(_json_pieces(x, inner)))
-            sep = "," + inner
-        yield "[]" if sep[0] == "[" else nl + "]"  # still "[": no item was met
-    else:
-        yield json.dumps(obj)  # str, int, None, bools and any other scalar
+def _holes(obj, nl="\n"):
+    """The canonical JSON text of obj (sorted keys, an indent of 2) at indent
+    nl, split at each "\\u0000" string.  JSON text holds no raw line break
+    but its indent breaks, so the replace re-indents it and nothing else."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl).split(_HOLE)
 
 
 def _canonical_json(data) -> str:
-    return "".join(_json_pieces(data))
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _listing_rows(orbits, nl, shapes=None):
-    """The JSON text of each orbit class's listing row at indent nl, as
-    _Encoded: its fields, its shape and, if shapes maps each shape to
-    (multiplicity, series) as CountReport.shapes does, the shape's series.
-    The text is encoded once per (shape, coset), with a hole "\\u0000" (a
-    NUL that no field holds) for orbit_size and for each entry of rep, which
-    each class fills in."""
-    templates = {}
+def _listing(doc, orbits, shapes=None):
+    """The canonical JSON text of doc, in pieces, with its one hole ["\\u0000"]
+    filled by the listing rows of the (never empty) orbits, one row per
+    orbit class, built as it is written: its fields, its shape and, if
+    shapes maps each shape to (multiplicity, series) as CountReport.shapes
+    does, the shape's series.  A row's text is encoded once per (shape,
+    coset), with holes for orbit_size and for each entry of rep, which each
+    class fills in."""
+    head, tail = _holes(doc)
+    nl = head[head.rfind("\n"):]  # the hole's own line break and indent
+    yield head
+    templates, comma = {}, ""
     for rep, size, coset in orbits:
         values = tuple(sorted(rep))  # types and shapes correspond one to one
         layout = templates.get((values, coset))
@@ -121,10 +85,12 @@ def _listing_rows(orbits, nl, shapes=None):
             row = {"coset": coset, "orbit_size": "\0", "rep": ["\0"] * 16, "shape": shape}
             row.update(shapes[shape][1].to_json() if shapes else {})
             # the key orbit_size sorts before rep, whose 16 holes share one separator
-            head, mid, sep, *_, tail = "".join(_json_pieces(row, nl)).split('"\\u0000"')
-            layout = templates[values, coset] = head, mid, sep, tail
-        head, mid, sep, tail = layout
-        yield _Encoded(f"{head}{size}{mid}{sep.join(map(str, rep))}{tail}")
+            first, mid, sep, *_, last = _holes(row, nl)
+            layout = templates[values, coset] = first, mid, sep, last
+        first, mid, sep, last = layout
+        yield f"{comma}{first}{size}{mid}{sep.join(map(str, rep))}{last}"
+        comma = "," + nl
+    yield tail + "\n"
 
 
 def _env_order() -> int:
@@ -213,9 +179,9 @@ def cmd_genus(args) -> tuple:
         raise DomainError(f"genus must be between 1 and {GENUS_MAX}")
     report = counting.genus_total(args.g, args.order)
     if args.format == "json":
-        rows = _listing_rows(report.orbits, "\n    ", report.shapes)
         total = report.total.to_json()["coeffs"]
-        return _json_pieces(dict(genus=args.g, order=args.order, orbits=rows, total=total)), 0
+        doc = dict(genus=args.g, order=args.order, orbits=["\0"], total=total)
+        return _listing(doc, report.orbits, report.shapes), 0
     if args.format == "csv":
         cells = _table_cells(report, "multiplicity")
         return "\n".join(",".join(row) for row in cells) + "\n", 0
@@ -236,7 +202,7 @@ def cmd_orbits(args) -> tuple:
         raise DomainError(f"degree must be <= {2 * GENUS_MAX_LISTED + 2}")
     orbits = kummer.translation_orbits(args.degree)
     if args.format == "json":
-        return _json_pieces(_listing_rows(orbits, "\n  ")), 0
+        return _listing(["\0"], orbits), 0
     if args.format == "csv":
         head, rep_sep, layout = "rep,orbit_size,coset,shape", " ", "{},{},{},{}\n"
     else:

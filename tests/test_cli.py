@@ -191,7 +191,7 @@ def test_json_output_is_byte_stable(capsys):
 
 
 def reference_json(value) -> str:
-    """The canonical encoding: cli writes these bytes in pieces."""
+    """The canonical encoding: cli writes these bytes, listings in pieces."""
     return json.dumps(value, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
 
 
@@ -222,20 +222,12 @@ shared = ["\u00e9", 3]
 @example([True, False])
 @example([])
 @example({"rows": ["x", 1, None, [2, "y"], {"z": True}], "total": ["1"]})
-def test_canonical_json_matches_json_dumps(value):
-    # a list takes the one-join path only when its elements are all str; an
-    # iterator is written as the list of its items
-    assert cli._canonical_json(value) == reference_json(value)
-    assert cli._canonical_json(streamed(value)) == reference_json(value)
-
-
-def streamed(value):
-    """value with every list in it handed over as an iterator."""
-    if isinstance(value, dict):
-        return {key: streamed(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return iter([streamed(item) for item in value])
-    return value
+@example(["\n", "\u2028", "\0", {"\0\n": "\0"}])
+def test_holes_reindent_only_indent_breaks(value):
+    # json.dumps escapes every line break inside a string, so the text of a
+    # value one level down is its own text with each line break re-indented
+    nested = json.dumps([value], sort_keys=True, indent=2)
+    assert nested == "[\n  " + cli._HOLE.join(cli._holes(value, "\n  ")) + "\n]"
 
 
 @pytest.mark.parametrize("g", range(1, 6))
@@ -295,18 +287,18 @@ def test_listing_holds_little_beyond_its_orbit_list(tmp_path, argv):
     assert traced_peak(cli.main, argv) < 1.5 * traced_peak(kummer.translation_orbits, 12)
 
 
-def test_json_writer_keeps_no_text_between_pieces():
-    # every orbit of a shape shares its coefficient list; the writer encodes
-    # it again for each orbit instead of keeping its text for the whole call
-    data = counting.genus_total(5, 32).to_json()
-    tracemalloc.start()
-    try:
-        for _ in cli._json_pieces(data):
+def test_listing_keeps_no_text_between_rows():
+    # rows are built as they are written: four times the orbits must not
+    # raise the peak, which a listing holding its rows would quadruple
+    report = counting.genus_total(5, 32)
+    doc = dict(genus=5, order=32, orbits=["\0"], total=report.total.to_json()["coeffs"])
+
+    def drain(orbits):
+        for _ in cli._listing(doc, orbits, report.shapes):
             pass
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+
+    once, four = (traced_peak(drain, orbits) for orbits in (report.orbits, report.orbits * 4))
+    assert abs(four - once) < 0.1 * once
 
 
 @pytest.mark.parametrize(

@@ -59,3 +59,28 @@ def test_macmahon_cross_checks_reach_the_nested_pass_and_the_recursion():
         (ok, _), seen = reached(check, 32, random.Random(0))
         assert ok
         assert {("qforms.py", "_nested_sums"), ("qforms.py", recursion)} <= seen
+
+
+def test_andrews_rose_sides_reach_the_recursion_and_no_theta_block():
+    for expansion, recursion in (
+        (trig.andrews_rose_H, "macmahon_A_recursive"),
+        (trig.andrews_rose_G, "macmahon_C_recursive"),
+    ):
+        _, seen = reached(expansion, 32, 13)
+        assert ("qforms.py", recursion) in seen
+        names = {name for _, name in seen}
+        assert not names & {"theta_block", "chebyshev", "cheb_half_doubled"}
+
+
+def test_theta_block_side_reaches_chebyshev_and_no_macmahon_code():
+    for kind in ("h", "g"):
+        _, seen = reached(trig.theta_block_q, kind, 32, 13)
+        assert ("trig.py", "cheb_half_doubled") in seen
+        names = {name for _, name in seen}
+        assert not {n for n in names if n.startswith("macmahon_")}
+        assert not names & {"_nested_sums", "series_A1", "sigma1_table"}
+
+
+def test_legendre_series_reaches_no_pochhammer():
+    _, seen = reached(qforms.legendre_series, 64)
+    assert "pochhammer" not in {name for _, name in seen}
