@@ -10,8 +10,10 @@ layout, pieces built one orbit class at a time from a list enumerated
 before the command returns; main() alone writes it, with one writelines to
 --out or stdout, and turns errors into an ``error: <msg>`` line.  A stdout
 closed early (``| head``) is no error: the rest is dropped, the code stays.
-Every JSON byte is json.dumps' own, with sorted keys and an indent of 2; a
-JSON listing splices its rows into the text of its document.
+The library's records carry data, and every layout of them is made here:
+the table rows and their order, the fgk document, the listings.  Every
+JSON byte is json.dumps' own, with sorted keys and an indent of 2; a JSON
+listing splices its rows into the text of its document.
 
 Configuration precedence is flags > environment > defaults; the recognized
 environment variables are HYPCOUNT_ORDER and HYPCOUNT_CACHE_DIR.
@@ -130,15 +132,17 @@ def _parse_profile(raw: str):
 def cmd_fgk(args) -> tuple:
     config = _parse_profile(args.config)
     result = counting.f_gk(config, args.order)
+    shape = result.shape if result.coset else "0"
     if args.format == "json":
-        return _canonical_json(result.to_json()), 0
+        doc = {"config": list(config), "coset": result.coset or "none", "shape": shape}
+        return _canonical_json({**doc, **result.series.to_json()}), 0
     if args.format == "csv":
         return _series_csv(result.series, var="u"), 0
     lines = [
         f"profile : {','.join(str(v) for v in config)}",
         f"total   : {sum(config)} (geometric genus {(sum(config) - 2) // 2})",
         f"coset   : {result.coset or 'none (inadmissible; series is 0)'}",
-        f"shape   : {result.shape if result.coset else '0'}",
+        f"shape   : {shape}",
     ]
     if result.coset:
         lines.append(f"min h   : {counting.min_arith_genus(config)}")
@@ -151,12 +155,19 @@ def cmd_fgk(args) -> tuple:
 
 
 def _table_cells(report, mult_title: str) -> list:
-    """The header row, then the cells of each table_rows() row as strings;
-    a zero coefficient is an empty cell."""
-    header = ["shape", mult_title] + [f"q^{n}" for n in range(2, report.order + 1)]
-    return [header] + [
-        [shape, "" if mult is None else str(mult)] + [str(c) if c else "" for c in coeffs]
-        for shape, mult, coeffs in report.table_rows()
+    """The rows of both table layouts as strings, in their one order: the
+    header, each shape's multiplicity and bare series by valuation, then name
+    (vanishing shapes last), then the total F_g(u); a zero is an empty cell."""
+
+    def key(shape):
+        val = report.shapes[shape][1].valuation()
+        return (val is None, val or 0, shape)
+
+    rows = [(shape, *report.shapes[shape]) for shape in sorted(report.shapes, key=key)]
+    rows.append((f"F_{report.genus}(u)", "", report.total))
+    return [["shape", mult_title] + [f"q^{n}" for n in range(2, report.order + 1)]] + [
+        [name, str(mult)] + [str(c) if c else "" for c in series.coeffs[2:]]
+        for name, mult, series in rows
     ]
 
 
@@ -173,6 +184,9 @@ def _report_table_text(report) -> str:
 
 
 def cmd_genus(args) -> tuple:
+    if args.table and args.format != "text":
+        raise DomainError(
+            f"--table is a text layout; it cannot be combined with --format {args.format}")
     if args.format == "json" and not 1 <= args.g <= GENUS_MAX_LISTED:
         raise DomainError(f"genus must be between 1 and {GENUS_MAX_LISTED} with --format json")
     if not 1 <= args.g <= GENUS_MAX:

@@ -79,15 +79,6 @@ class CountSeries(namedtuple("CountSeries", "config coset series")):
     def shape(self) -> str:
         return shape_label(self.config)
 
-    def to_json(self) -> dict:
-        data = {
-            "config": list(self.config),
-            "coset": self.coset or "none",
-            "shape": self.shape if self.coset else "0",
-        }
-        data.update(self.series.to_json())
-        return data
-
 
 def f_gk(config, order: int) -> CountSeries:
     """Counting series of one multiplicity profile (closed product route)."""
@@ -184,10 +175,10 @@ def gottsche_reconcile(order: int) -> bool:
 
 
 class CountReport(namedtuple("CountReport", "genus order shapes total")):
-    """Genus aggregate.  ``shapes`` maps each shape label to (number of
-    translation-orbit classes of that shape, the shape's series); ``total``
-    is the sum of multiplicity times series.  ``orbits`` lists the classes
-    one by one as ``kummer.Orbit``, enumerated anew on each access."""
+    """Genus aggregate, as data that ``cli`` lays out.  ``shapes`` maps each
+    shape label to (number of translation-orbit classes of that shape, the
+    shape's series); ``total`` is the sum of multiplicity times series.
+    ``orbits`` lists the classes as ``kummer.Orbit``, anew on each access."""
 
     __slots__ = ()
 
@@ -199,8 +190,8 @@ class CountReport(namedtuple("CountReport", "genus order shapes total")):
         return {shape: mult for shape, (mult, _) in self.shapes.items()}
 
     def to_json(self) -> dict:
-        """The document of `genus --format json`: one row per orbit class,
-        with its shape and the shape's series, then the total."""
+        """The `genus --format json` document, built whole: the reference
+        that the listing ``cli`` streams is tested against."""
         rows = []
         for rep, size, coset in self.orbits:
             shape = shape_label(rep)
@@ -208,25 +199,6 @@ class CountReport(namedtuple("CountReport", "genus order shapes total")):
             rows.append({**row, **self.shapes[shape][1].to_json()})
         total = self.total.to_json()["coeffs"]
         return {"genus": self.genus, "order": self.order, "orbits": rows, "total": total}
-
-    def table_rows(self):
-        """Rows shaped like the reference coefficient table: one row per
-        shape with the bare shape series, by valuation then name (shapes
-        that vanish to this order last), then the aggregated total; columns
-        are the u-exponents 2..order."""
-
-        def key(shape):
-            val = self.shapes[shape][1].valuation()
-            return (val is None, val or 0, shape)
-
-        rows = []
-        for shape in sorted(self.shapes, key=key):
-            mult, series = self.shapes[shape]
-            rows.append((shape, mult, [series[n] for n in range(2, self.order + 1)]))
-        rows.append(
-            (f"F_{self.genus}(u)", None, [self.total[n] for n in range(2, self.order + 1)])
-        )
-        return rows
 
 
 def genus_total(g: int, order: int) -> CountReport:

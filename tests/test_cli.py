@@ -422,6 +422,18 @@ def test_genus_out_of_range(capsys):
     assert out.startswith("genus 12: 7694506 orbit classes")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_genus_table_with_another_format_is_usage_error(capsys, monkeypatch, fmt):
+    # --table is a text layout; the pair is rejected before any counting
+    def no_counting(g, order):
+        raise AssertionError("genus_total called")
+
+    monkeypatch.setattr(counting, "genus_total", no_counting)
+    message = f"error: --table is a text layout; it cannot be combined with --format {fmt}\n"
+    argv = ["genus", "--g", "3", "--order", "4", "--table", "--format", fmt]
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def _table_total(out):
     """The F_g(u) row of the table layout by column: cells are right-aligned
     under the q^n headers and an empty cell is zero."""

@@ -9,6 +9,7 @@ calls behind a hit.  Frames are keyed on (file name, co_name), as Python
 import os
 import random
 import sys
+from fractions import Fraction
 
 from hypcount import qforms, trig, verify
 
@@ -84,3 +85,24 @@ def test_theta_block_side_reaches_chebyshev_and_no_macmahon_code():
 def test_legendre_series_reaches_no_pochhammer():
     _, seen = reached(qforms.legendre_series, 64)
     assert "pochhammer" not in {name for _, name in seen}
+
+
+def test_legendre_check_reaches_both_sides():
+    # psi(q)^4, the product side ((-q;q) divides by (q;q)) and the sigma_1 sieve
+    (ok, _), seen = reached(verify.check_legendre, 32, random.Random(0))
+    assert ok
+    names = {name for _, name in seen}
+    assert {"legendre_series", "pochhammer", "_negative_power", "sigma1_table"} <= names
+
+
+def test_sine_substitution_routes_share_only_the_walker():
+    data = {(2, 1, 0, 3): 1, (1, 1, 0, 0): Fraction(-2, 3), (0, 0, 4, 1): 5}
+    formal, seen = reached(trig.sine_substitute, data, 9)
+    names = {name for _, name in seen}
+    assert {"_transfer", "two_sin_half"} <= names
+    assert not names & {"_split_transfer", "odd_split_count"}
+    closed, seen = reached(trig.sine_substitute_combinatorial, data, 9)
+    assert formal == closed
+    names = {name for _, name in seen}
+    assert {"_split_transfer", "odd_split_count"} <= names
+    assert not names & {"_transfer", "two_sin_half", "scaled_sin"}
