@@ -122,20 +122,21 @@ def f_gk_via_potential(config, order: int) -> Series:
 
 @lru_cache(maxsize=None)
 def _potential_term(values, order: int) -> Series:
-    """The class term of a profile type: q/Delta(u^2) shifted by |P|/2 - 2
-    (|P| the number of odd values) times, for each value k, column k of the
-    h block (k odd) or the g block (k even); zero at the first missing or
-    zero column.  A repeated value multiplies its column in again rather
-    than take a power, so no positive-power code is shared with _product."""
-    term = qforms.delta_inv_times_q(order // 2).compose_monomial(2, order)
-    term = term.shift(sum(kv % 2 for kv in values) // 2 - 2)
+    """The class term of a profile type, built in q = u^2 at order // 2:
+    q/Delta(q) times, for each value k, column k of the h block (k odd) or
+    the g block (k even); zero at the first missing or zero column.  One
+    q -> u^2 substitution, then the shift by |P|/2 - 2 (|P| the number of
+    odd values), give the u-series.  A repeated value multiplies its column
+    in again rather than take a power, so no positive-power code is shared
+    with _product."""
+    term = qforms.delta_inv_times_q(order // 2)
     for kv in values:
-        block = trig.theta_block("h" if kv % 2 else "g", order)
+        block = trig.theta_block_q("h" if kv % 2 else "g", order // 2)
         # x-degrees past the block's last column have zero coefficient
         if kv >= len(block) or block[kv].is_zero():
             return Series.zero(order)
         term = term * block[kv]
-    return term
+    return term.compose_monomial(2, order).shift(sum(kv % 2 for kv in values) // 2 - 2)
 
 
 def min_arith_genus(config) -> int:

@@ -3,8 +3,9 @@ series expansions (Chebyshev form and raw truncated lattice-sum form),
 the Andrews-Rose product expansions, and the sine substitution calculus.
 
 Two formal variables are in play: the per-point marking variable x, tied to
-the angle variable z by x = 2 sin(z/2), and the counting variable u (or q:
-the q-convention blocks use q = u^2, halving every u-exponent).
+the angle variable z by x = 2 sin(z/2), and the counting variable q.  Every
+block is built in q (the counting series read it as q = u^2): its term
+2 T_m(x/2) sits at q^(m*m // 4), odd m for h and even m >= 2 for g.
 """
 
 from __future__ import annotations
@@ -66,56 +67,35 @@ def cheb_even_identity_exact(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _block_terms(kind: str, order: int):
-    """Yield (x_degree, u_exponent) for the block's Chebyshev terms up to
-    order: the term 2 T_deg(x/2) u^e.
-
-    h carries T_(2n+1) at u^(2n^2+2n) for n >= 0, g carries T_(2n) at
-    u^(2n^2) for n >= 1; the loop stops at the first exponent above order,
-    which is safe because the exponents increase monotonically (bound
-    n <= sqrt(order/2) + 1).
-    """
+def _block_degrees(kind: str, order: int) -> range:
+    """Chebyshev degrees m of the block's terms 2 T_m(x/2) q^(m*m // 4) up to
+    order: odd m for h, even m >= 2 for g.  m*m // 4 <= order exactly when
+    m*m <= 4 order + 3."""
     if kind not in ("h", "g"):
         raise DomainError("block kind must be 'h' or 'g'")
-    n = 0 if kind == "h" else 1
-    while True:
-        e = 2 * n * n + 2 * n if kind == "h" else 2 * n * n
-        if e > order:
-            return
-        yield (2 * n + 1 if kind == "h" else 2 * n), e
-        n += 1
-
-
-def block_xdeg(kind: str, order: int) -> int:
-    """Largest x-degree with a nonzero coefficient at this u-order."""
-    return max((deg for deg, _ in _block_terms(kind, order)), default=0)
+    return range(1 if kind == "h" else 2, isqrt(4 * order + 3) + 1, 2)
 
 
 @lru_cache(maxsize=None)
-def theta_block(kind: str, order: int, xdeg: int | None = None) -> tuple:
-    """The per-point block as a tuple of u-series indexed by x-degree:
-    entry i is the coefficient of x^i, every entry has the given order, and
-    degrees above xdeg (default block_xdeg) are cut off.
-
-    h = 2 sum_n T_(2n+1)(x/2) u^(2n^2+2n)   (odd x-degrees only)
-    g = 1 + 2 sum_(n>=1) T_(2n)(x/2) u^(2n^2)   (even x-degrees only)
-    """
-    if xdeg is None:
-        xdeg = block_xdeg(kind, order)
-    cols = [dict() for _ in range(xdeg + 1)]
-    for deg, e in _block_terms(kind, order):
-        for i, c in enumerate(cheb_half_doubled(deg)):
-            if c and i <= xdeg:
-                cols[i][e] = cols[i].get(e, 0) + c
-    if kind == "g":
-        cols[0][0] = cols[0].get(0, 0) + 1  # bare constant term; the sum starts at n = 1
-    return tuple(Series.from_terms(col, order) for col in cols)
-
-
 def theta_block_q(kind: str, order: int, xdeg: int | None = None) -> tuple:
-    """Same block in the q-convention (q = u^2): exponents n^2+n and n^2."""
-    # every u-exponent of a block (2n^2+2n, 2n^2, the g constant 0) is even
-    return tuple(Series(s.coeffs[::2], order) for s in theta_block(kind, 2 * order, xdeg))
+    """The per-point block as a tuple of q-series indexed by x-degree:
+    entry i is the coefficient of x^i, every entry has the given order, and
+    degrees above xdeg (default: the largest with a nonzero entry) are cut off.
+
+    h = 2 sum_n T_(2n+1)(x/2) q^(n^2+n)   (odd x-degrees only)
+    g = 1 + 2 sum_(n>=1) T_(2n)(x/2) q^(n^2)   (even x-degrees only)
+    """
+    degrees = _block_degrees(kind, order)
+    if xdeg is None:
+        xdeg = max(degrees, default=0)
+    cols = [dict() for _ in range(xdeg + 1)]
+    for m in degrees:  # m*m // 4 grows with m, so each (i, exponent) is written once
+        for i, c in enumerate(cheb_half_doubled(m)[: xdeg + 1]):
+            if c:
+                cols[i][m * m // 4] = c
+    if kind == "g":
+        cols[0][0] = 1  # bare constant term; the sum starts at m = 2, at q^1
+    return tuple(Series.from_terms(col, order) for col in cols)
 
 
 # ---------------------------------------------------------------------------
@@ -189,42 +169,38 @@ def z_of_x(order: int) -> Series:
 def theta_block_from_lattice_sum(kind: str, bound: int, order: int) -> tuple:
     """Rebuild a block from the truncated two-sided exponential sums.
 
-    g-points carry sum_{|k|<=bound} (-1)^k u^(2k^2) e^(ikz); conjugate terms
-    pair into cosines.  h-points carry e^(iz/2) sum (-1)^k u^(2k^2+2k) e^(ikz);
+    g-points carry sum_{|k|<=bound} (-1)^k q^(k^2) e^(ikz); conjugate terms
+    pair into 2 cos(kz).  h-points carry e^(iz/2) sum (-1)^k q^(k^2+k) e^(ikz);
     the k and -k-1 terms pair into 2 sin((2k+1)z/2) factors (the unpaired
-    k = bound term sits above u^order once 2 bound^2 > order).  Each exact
-    z-series is then rewritten in x through z = 2 arcsin(x/2), as a linear
-    combination of the powers of that x-series, built once per block.
+    k = bound term sits above q^order once bound^2 > order).  With m = 2k
+    or 2k + 1, each pair is (-1)^(m//2) 2 cos(mz/2) or 2 sin(mz/2) at
+    q^(m*m // 4).  Each exact z-series is then rewritten in x through
+    z = 2 arcsin(x/2), as a linear combination of the powers of that
+    x-series, built once per block.
 
     This route never touches Chebyshev polynomials, so comparing it with
-    theta_block checks the closed Chebyshev forms end to end.
+    theta_block_q checks the closed Chebyshev forms end to end.
     """
-    if bound < 1 or 2 * bound * bound <= order:
-        raise BoundTooSmall(f"need 2*bound^2 > order (bound={bound}, order={order})")
-    xdeg = block_xdeg(kind, order)
+    if bound < 1 or bound * bound <= order:
+        raise BoundTooSmall(f"need bound^2 > order (bound={bound}, order={order})")
+    if kind not in ("h", "g"):
+        raise DomainError("block kind must be 'h' or 'g'")
+    wave = scaled_sin if kind == "h" else scaled_cos
+    degrees = [m for m in range(1 if kind == "h" else 2, 2 * bound + 1, 2) if m * m // 4 <= order]
+    xdeg = max(degrees, default=0)
     zx = z_of_x(xdeg)
     powers = [Series.one(xdeg)]  # z^j as x-series, j = 0..xdeg, shared by every term
     for _ in range(xdeg):
         powers.append(powers[-1] * zx)
     cols = [dict() for _ in range(xdeg + 1)]
-
-    def add(e: int, sign: int, zser: Series):
+    if kind == "g":
+        cols[0][0] = 1
+    for m in degrees:
+        zser = wave(Fraction(m, 2), xdeg)
         xser = sum((p * c for p, c in zip(powers, zser.coeffs) if c), Series.zero(xdeg))
         for i, c in enumerate(xser.coeffs):
             if c:
-                cols[i][e] = cols[i].get(e, 0) + sign * c
-
-    if kind == "g":
-        cols[0][0] = 1
-        for k in range(1, bound + 1):
-            e = 2 * k * k
-            if e <= order:
-                add(e, 2 * (-1) ** k, scaled_cos(Fraction(k), xdeg))
-    else:  # block_xdeg has rejected any kind other than 'h' and 'g'
-        for k in range(0, bound):
-            e = 2 * k * k + 2 * k
-            if e <= order:
-                add(e, 2 * (-1) ** k, scaled_sin(Fraction(2 * k + 1, 2), xdeg))
+                cols[i][m * m // 4] = 2 * (-1) ** (m // 2) * c
     return tuple(Series.from_terms(col, order) for col in cols)
 
 

@@ -283,17 +283,17 @@ def check_andrews_rose_G(order, rng):
 
 
 def check_block_parity(order, rng):
-    h = trig.theta_block("h", max(order, 32))
-    g = trig.theta_block("g", max(order, 32))
+    h = trig.theta_block_q("h", max(order, 32) // 2)
+    g = trig.theta_block_q("g", max(order, 32) // 2)
     ok = all(s.is_zero() for s in h[0::2]) and all(s.is_zero() for s in g[1::2])
     return ok, "h holds odd x-degrees only, g even only"
 
 
 def check_lattice_sum_blocks(order, rng):
-    o = max(order, 24)
+    o = max(order, 24)  # the u-order the detail names; the blocks are in q = u^2
     bound = isqrt(o // 2) + 1
-    ok = trig.theta_block_from_lattice_sum("h", bound, o) == trig.theta_block("h", o)
-    ok = ok and trig.theta_block_from_lattice_sum("g", bound, o) == trig.theta_block("g", o)
+    ok = trig.theta_block_from_lattice_sum("h", bound, o // 2) == trig.theta_block_q("h", o // 2)
+    ok = ok and trig.theta_block_from_lattice_sum("g", bound, o // 2) == trig.theta_block_q("g", o // 2)
     return ok, f"truncated lattice sums rebuild both blocks at order {o} (bound {bound})"
 
 

