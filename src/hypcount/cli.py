@@ -6,7 +6,7 @@ genus (aggregated count report), orbits (translation-orbit table), verify
 1 verification failure, 2 usage error or a file that cannot be read or
 written.  Each cmd_* validates its input and returns (text, exit code),
 where text is a string or, for the genus JSON listing and every orbits
-layout, pieces built one orbit class at a time from a list enumerated
+layout, pieces built one orbit class at a time from packed rows enumerated
 before the command returns; main() alone writes it, with one writelines to
 --out or stdout, and turns errors into an ``error: <msg>`` line.  A stdout
 closed early (``| head``) is no error: the rest is dropped, the code stays.
@@ -37,11 +37,13 @@ DEFAULT_ORDER = 32
 # shape): genus_total(g, 32) took 0.15-0.20 s at g = 12 (1,659 types) on a
 # 2-vCPU x86-64 VM with Python 3.11, and 0.9-1.1 s at g = 16.  JSON lists
 # every orbit class by enumeration, and the class count grows about 4x per
-# genus (9,116 at g = 6, 35,884 at g = 7).  Rows are spliced into templates
-# as written, so `genus --g 7 --format json` (28.9 MB) took 0.66-0.89 s and
-# 25 MB peak RSS end to end on a 2-vCPU VM.  GENUS_MAX_LISTED bounds both
-# listings: `orbits` takes degrees up to 2 * 7 + 2 = 16, which took 0.57-0.89 s
-# and 25 MB in each layout; degree 18 (124,236 classes) took 1.9-2.1 s, 48 MB.
+# genus (9,116 at g = 6, 35,884 at g = 7).  A listing holds one packed
+# 18-byte row per class and splices each into a template as it is written,
+# so `genus --g 7 --format json` (28.9 MB) took 0.49 s and 17.5 MB peak RSS
+# end to end on a 2-vCPU VM (medians of 11 fresh processes).
+# GENUS_MAX_LISTED bounds both listings: `orbits` takes degrees up to
+# 2 * 7 + 2 = 16, which took 0.48-0.49 s and 17.3-17.5 MB in each layout;
+# degree 18 (124,236 classes) took 1.5 s and 24 MB in one run.
 GENUS_MAX = 12
 GENUS_MAX_LISTED = 7
 
@@ -69,12 +71,12 @@ def _canonical_json(data) -> str:
 
 def _listing(doc, orbits, shapes=None):
     """The canonical JSON text of doc, in pieces, with its one hole ["\\u0000"]
-    filled by the listing rows of the (never empty) orbits, one row per
-    orbit class, built as it is written: its fields, its shape and, if
-    shapes maps each shape to (multiplicity, series) as CountReport.shapes
-    does, the shape's series.  A row's text is encoded once per (shape,
-    coset), with holes for orbit_size and for each entry of rep, which each
-    class fills in."""
+    filled by the listing rows of the (never empty) orbits, (rep, size,
+    coset) triples, one row per orbit class, built as it is written: its
+    fields, its shape and, if shapes maps each shape to (multiplicity,
+    series) as CountReport.shapes does, the shape's series.  A row's text is
+    encoded once per (shape, coset), with holes for orbit_size and for each
+    entry of rep, which each class fills in."""
     head, tail = _holes(doc)
     nl = head[head.rfind("\n"):]  # the hole's own line break and indent
     yield head
@@ -195,7 +197,8 @@ def cmd_genus(args) -> tuple:
     if args.format == "json":
         total = report.total.to_json()["coeffs"]
         doc = dict(genus=args.g, order=args.order, orbits=["\0"], total=total)
-        return _listing(doc, report.orbits, report.shapes), 0
+        rows = kummer.orbit_rows(2 * args.g + 2)
+        return _listing(doc, kummer.unpack_rows(rows), report.shapes), 0
     if args.format == "csv":
         cells = _table_cells(report, "multiplicity")
         return "\n".join(",".join(row) for row in cells) + "\n", 0
@@ -214,16 +217,16 @@ def cmd_genus(args) -> tuple:
 def cmd_orbits(args) -> tuple:
     if args.degree > 2 * GENUS_MAX_LISTED + 2:
         raise DomainError(f"degree must be <= {2 * GENUS_MAX_LISTED + 2}")
-    orbits = kummer.translation_orbits(args.degree)
+    rows = kummer.orbit_rows(args.degree)
     if args.format == "json":
-        return _listing(["\0"], orbits), 0
+        return _listing(["\0"], kummer.unpack_rows(rows)), 0
     if args.format == "csv":
         head, rep_sep, layout = "rep,orbit_size,coset,shape", " ", "{},{},{},{}\n"
     else:
-        head, rep_sep = f"degree {args.degree}: {len(orbits)} orbit classes", ","
+        head, rep_sep = f"degree {args.degree}: {len(rows)} orbit classes", ","
         layout = "  [{}] size {:>2} {:<5} {}\n"
     lines = (layout.format(rep_sep.join(map(str, rep)), size, coset, counting.shape_label(rep))
-             for rep, size, coset in orbits)
+             for rep, size, coset in kummer.unpack_rows(rows))
     return chain([head + "\n"], lines), 0
 
 

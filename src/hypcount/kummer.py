@@ -11,6 +11,9 @@ empty set, the 30 affine 3-planes, everything) governs which half-integer
 exceptional-class combinations live in the ambient primitive lattice, and
 through that which odd-multiplicity supports P admit curve counts: P must
 differ from one of the two reference sets eps0/eps1 by a Pi_3 element.
+
+Translation classes of admissible profiles are packed 18-byte rows
+(`orbit_rows`); `translation_orbits` gives them as `Orbit`s.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, compress, repeat
 from math import factorial
-from operator import attrgetter, itemgetter, xor
+from operator import itemgetter, xor
 
 from .errors import DomainError, HypcountError
 
@@ -217,6 +220,8 @@ def orbit_rep(config):
 
 Orbit = namedtuple("Orbit", "rep size coset")
 
+_COSET_CODES = ("even", "odd")  # a packed row's last byte indexes its coset
+
 
 def _check_degree(degree: int) -> None:
     if degree < 4 or degree % 2:
@@ -265,10 +270,13 @@ def _support_classes() -> tuple:
     return tuple(classes.values())
 
 
-def translation_orbits(degree: int) -> list:
+def orbit_rows(degree: int) -> list:
     """All admissible multiplicity profiles of the given total, grouped under
-    the sixteen-point translation action; one Orbit per class, sorted by
-    representative.
+    the sixteen-point translation action: one packed 18-byte row per class,
+    sorted.  A row holds the 16 entries of the class's `orbit_rep`, then the
+    class size, then 0 for the even coset or 1 for the odd one; every value
+    fits a byte for degrees up to 255, and as the 16-byte prefixes differ,
+    the rows sort as their representatives do.
 
     A translation maps an admissible support P onto another one, so every
     class meets the profiles on one fixed P of each support class in exactly
@@ -279,8 +287,11 @@ def translation_orbits(degree: int) -> list:
     fixing the slots} members, all with supports in P's coset.
     """
     _check_degree(degree)
-    orbits = []
+    if degree > 255:
+        raise DomainError("degree must be <= 255, the largest entry a packed row holds")
+    rows = []
     for P, which, stab in _support_classes():
+        code = _COSET_CODES.index(which)
         base, multisets = _on_support(P, degree)
         for slots in multisets:
             fixing = 1
@@ -290,9 +301,22 @@ def translation_orbits(degree: int) -> list:
                     break
                 fixing += image == slots
             else:
-                orbits.append(Orbit(orbit_rep(_with_slots(base, slots)), 16 // fixing, which))
-    orbits.sort(key=attrgetter("rep"))
-    return orbits
+                rows.append(bytes((*orbit_rep(_with_slots(base, slots)), 16 // fixing, code)))
+    rows.sort()
+    return rows
+
+
+def unpack_rows(rows):
+    """(rep, size, coset) of each packed row of `orbit_rows`, in order; rep is
+    the bytes of the 16 entries, which iterate, sort and join as ints do."""
+    for row in rows:
+        yield row[:16], row[16], _COSET_CODES[row[17]]
+
+
+def translation_orbits(degree: int) -> list:
+    """The classes of `orbit_rows` as `Orbit`s, each with a tuple rep, sorted
+    by representative."""
+    return [Orbit(tuple(rep), size, coset) for rep, size, coset in unpack_rows(orbit_rows(degree))]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ def sigma1_table(n: int) -> list[int]:
     return table
 
 
-@lru_cache(maxsize=None)
 def sigma1(n: int) -> int:
     """Sum of the positive divisors of n.  Past the sieve table, the product
     of 1 + p + ... + p^e over the prime powers p^e exactly dividing n: each

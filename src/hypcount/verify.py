@@ -283,18 +283,18 @@ def check_andrews_rose_G(order, rng):
 
 
 def check_block_parity(order, rng):
-    h = trig.theta_block_q("h", max(order, 32) // 2)
-    g = trig.theta_block_q("g", max(order, 32) // 2)
+    o = max(order, 32) // 2  # the blocks are in q = u^2
+    h, g = trig.theta_block_q("h", o), trig.theta_block_q("g", o)
     ok = all(s.is_zero() for s in h[0::2]) and all(s.is_zero() for s in g[1::2])
-    return ok, "h holds odd x-degrees only, g even only"
+    return ok, f"h holds odd x-degrees only, g even only, at q-order {o}"
 
 
 def check_lattice_sum_blocks(order, rng):
-    o = max(order, 24)  # the u-order the detail names; the blocks are in q = u^2
-    bound = isqrt(o // 2) + 1
-    ok = trig.theta_block_from_lattice_sum("h", bound, o // 2) == trig.theta_block_q("h", o // 2)
-    ok = ok and trig.theta_block_from_lattice_sum("g", bound, o // 2) == trig.theta_block_q("g", o // 2)
-    return ok, f"truncated lattice sums rebuild both blocks at order {o} (bound {bound})"
+    o = max(order, 24) // 2  # the blocks are in q = u^2
+    bound = isqrt(o) + 1
+    ok = trig.theta_block_from_lattice_sum("h", bound, o) == trig.theta_block_q("h", o)
+    ok = ok and trig.theta_block_from_lattice_sum("g", bound, o) == trig.theta_block_q("g", o)
+    return ok, f"truncated lattice sums rebuild both blocks at q-order {o} (bound {bound})"
 
 
 def _random_profile_map(rng, npoints, max_total):

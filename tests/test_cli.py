@@ -280,11 +280,19 @@ def traced_peak(fn, *args) -> int:
     ],
 )
 def test_listing_holds_little_beyond_its_orbit_list(tmp_path, argv):
-    # each row is built as it is written, so a listing holds its orbit list
+    # each row is built as it is written, so a listing holds its packed rows
     # and one row at a time; building every row first peaked at 2.7-3x
     argv = [*argv.split(), "--out", str(tmp_path / "listing")]
     assert cli.main(argv) == 0  # warms the count and orbit caches
     assert traced_peak(cli.main, argv) < 1.5 * traced_peak(kummer.translation_orbits, 12)
+
+
+def test_listing_holds_packed_rows_not_orbits(tmp_path):
+    # one 18-byte row per class: the listing peaked at 0.26x the Orbit list
+    # of its degree, and at 1.02x when it held that list
+    argv = ["orbits", "--degree", "14", "--format", "json", "--out", str(tmp_path / "listing")]
+    assert cli.main(argv) == 0  # warms the shape labels
+    assert traced_peak(cli.main, argv) < 0.5 * traced_peak(kummer.translation_orbits, 14)
 
 
 def test_listing_keeps_no_text_between_rows():
@@ -318,12 +326,12 @@ def test_rejected_json_listing_writes_nothing(capsys, tmp_path, argv, message):
 
 @pytest.mark.parametrize("argv", ["genus --g 3 --format json", "orbits --degree 8 --format csv"])
 def test_listing_enumerates_before_it_writes(capsys, monkeypatch, tmp_path, argv):
-    # the rows are built lazily, but the orbit list they read is enumerated
+    # the rows are built lazily, but the packed rows they read are enumerated
     # before the command returns, so a failing enumeration writes nothing
     def failing(degree):
         raise HypcountError("enumeration failed")
 
-    monkeypatch.setattr(kummer, "translation_orbits", failing)
+    monkeypatch.setattr(kummer, "orbit_rows", failing)
     target = tmp_path / "listing"
     failed = (1, "", "error: enumeration failed\n")
     assert run(capsys, *argv.split()) == failed

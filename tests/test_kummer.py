@@ -353,6 +353,13 @@ def test_orbits_reject_bad_degree():
             next(kummer.admissible_profiles(degree))
 
 
+def test_orbit_rows_reject_a_degree_past_a_byte():
+    # a packed row holds each entry in one byte
+    for enumerate_classes in (kummer.orbit_rows, kummer.translation_orbits):
+        with pytest.raises(DomainError, match="degree must be <= 255"):
+            enumerate_classes(256)
+
+
 # -- Burnside class counts --------------------------------------------------------------
 
 

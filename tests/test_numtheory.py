@@ -108,11 +108,8 @@ def sigma1_by_divisor_pairs(n):
 
 @pytest.fixture
 def no_sieve(monkeypatch):
-    # an empty table and a cold cache, so every n >= 2 takes the factoring route
+    # an empty table, so every n >= 2 takes the factoring route
     monkeypatch.setattr(numtheory, "_sigma_table", [0, 1])
-    sigma1.cache_clear()
-    yield
-    sigma1.cache_clear()
 
 
 def test_sigma1_factoring_matches_divisor_sums(no_sieve):
