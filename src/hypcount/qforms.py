@@ -3,8 +3,8 @@ the odd-divisor series E, the discriminant-inverse series, q-Pochhammer
 products, the fourth power of the half-integer theta function, and the
 weight-2 Eisenstein normalization used by the genus-2 remark.
 
-Every builder returns an immutable Series and is memoized on (params, order);
-correctness never depends on the cache.
+Every builder returns an immutable Series.  A builder is memoized only where a
+caller asks for the same arguments twice; no result depends on a memo.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ def series_E(order: int) -> Series:
     )
 
 
-@lru_cache(maxsize=None)
 def series_E2(order: int) -> Series:
     """Weight-2 Eisenstein series normalized as -1/24 + sum sigma_1(n) q^n,
     so that the genus-2 divisor series equals E2 + 1/24 verbatim."""
@@ -51,7 +50,6 @@ def series_E2(order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _nested_sums(k: int, order: int, odd_steps: bool) -> tuple:
     """The levels S_0 = 1, S_1, ..., S_k, each to the full order: S_r sums,
     over strictly increasing r-tuples of indices m (every positive integer,
@@ -100,7 +98,6 @@ def _nested_sums(k: int, order: int, odd_steps: bool) -> tuple:
     return tuple(levels)
 
 
-@lru_cache(maxsize=None)
 def macmahon_A_direct(k: int, order: int) -> Series:
     """A_k(q) = sum over 0<m_1<...<m_k of
     q^(m_1+...+m_k) / prod (1-q^(m_i))^2, truncated at ``order``."""
@@ -110,7 +107,6 @@ def macmahon_A_direct(k: int, order: int) -> Series:
     return levels[k] if k < len(levels) else Series.zero(order)
 
 
-@lru_cache(maxsize=None)
 def macmahon_C_direct(k: int, order: int) -> Series:
     """C_k(q) = sum over 0<m_1<...<m_k of
     q^(2m_1+...+2m_k-k) / prod (1-q^(2m_i-1))^2; equivalently the nested
@@ -215,14 +211,12 @@ def delta_inv_times_q(order: int) -> Series:
     return pochhammer(1, 1, order) ** -24
 
 
-@lru_cache(maxsize=None)
 def legendre_series(order: int) -> Series:
     """((q;q)oo (-q;q)oo^2)^4 = sum sigma_1(2k+1) q^k, built as psi(q)^4: by the
     Jacobi triple product (q;q)oo (-q;q)oo^2 = psi(q) = sum_{n>=0} q^(n(n+1)/2)."""
     return Series.from_terms({n * (n + 1) // 2: 1 for n in range(isqrt(2 * order) + 1)}, order) ** 4
 
 
-@lru_cache(maxsize=None)
 def theta2_fourth(order: int) -> Series:
     """Fourth power of the half-integer theta sum_{k in Z} q^((k+1/2)^2).
 

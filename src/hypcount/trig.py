@@ -152,7 +152,6 @@ def scaled_cos(m: Fraction, order: int) -> Series:
     return Series.from_terms(terms, order)
 
 
-@lru_cache(maxsize=None)
 def z_of_x(order: int) -> Series:
     """Inverse of x = 2 sin(z/2): z = 2 arcsin(x/2) as an x-series."""
     terms = {}

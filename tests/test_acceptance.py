@@ -80,8 +80,6 @@ def test_02_yau_zaslow_prefix(capsys):
 
 
 def test_03_macmahon_cross_construction(capsys):
-    qforms.macmahon_A_direct.cache_clear()
-    qforms.macmahon_C_direct.cache_clear()
     start = time.time()
     ok = True
     for k in range(1, 6):

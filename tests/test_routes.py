@@ -24,6 +24,22 @@ def clear_caches():
                 getattr(obj, "cache_clear", lambda: None)()
 
 
+def test_every_memo_is_hit_by_the_full_suite():
+    # a memo that no call asks for twice only holds its results until exit;
+    # keyed on the defining module, as `from .x import y` binds one memo twice
+    clear_caches()
+    verify.run_suite(["all"], 32)
+    memos = {
+        f"{obj.__module__}.{obj.__qualname__}": obj
+        for module in sys.modules.copy().values()
+        if module and module.__name__.startswith("hypcount")
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_info")
+    }
+    unhit = sorted(name for name, memo in memos.items() if memo.cache_info().hits == 0)
+    assert not unhit, f"memos never hit by verify --suite all --order 32: {unhit}"
+
+
 def reached(call, *args):
     clear_caches()
     package = os.path.dirname(qforms.__file__)
