@@ -7,7 +7,7 @@ whole-power series times an explicit prefactor (see
 They are stored as FLINT's fmpq_poly stores them: integer numerators over
 one positive denominator, in lowest terms, so every kernel operation runs
 on ints and equal series store equal integers.  ``coeffs``, the tuple of
-ints and Fractions that callers read, is built from them on first read.
+ints and Fractions that callers read, is built from them on each read.
 
 Truncation discipline: binary operations truncate the result to the
 minimum order of the operands.  A Series is never silently re-extended; a
@@ -188,10 +188,10 @@ def _miller(pairs, k: int, order: int) -> list[int]:
 
 class Series:
     """Immutable truncated power series: numerators ``_num`` over ``_den > 0``
-    with gcd(*_num, _den) == 1.  Safe to share across threads: two threads
-    may both build ``coeffs`` on first read, but build equal tuples."""
+    with gcd(*_num, _den) == 1.  Safe to share across threads: nothing is
+    set on a Series after it is built."""
 
-    __slots__ = ("_num", "_den", "order", "_coeffs")
+    __slots__ = ("_num", "_den", "order")
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
@@ -229,16 +229,11 @@ class Series:
 
     @property
     def coeffs(self) -> tuple:
-        """Coefficients of q**0..q**order as ints and Fractions, built once."""
+        """Coefficients of q**0..q**order as ints and Fractions, built on each read."""
         den = self._den
         if den == 1:
             return self._num
-        try:
-            return self._coeffs
-        except AttributeError:
-            c = tuple(Fraction(x, den) if x % den else x // den for x in self._num)
-            object.__setattr__(self, "_coeffs", c)
-            return c
+        return tuple(Fraction(x, den) if x % den else x // den for x in self._num)
 
     # -- constructors ------------------------------------------------------
 
@@ -385,9 +380,10 @@ class Series:
         # matter and those past self.order are unknown, so the result has order top
         top = min(self.order, inner.order)
         degree = max(top - _valuation(self._num[top::-1]), 0)
-        result = Series([self.coeffs[degree]], top)
+        coeffs = self.coeffs
+        result = Series([coeffs[degree]], top)
         for n in range(degree - 1, -1, -1):
-            result = result * inner + self.coeffs[n]
+            result = result * inner + coeffs[n]
         return result
 
     def truncate(self, order: int) -> "Series":
@@ -404,7 +400,8 @@ class Series:
         phantom, so reads past order raise instead of returning 0."""
         if not 0 <= n <= self.order:
             raise IndexError(f"exponent index {n} outside stored order {self.order}")
-        return self.coeffs[n]
+        x, den = self._num[n], self._den
+        return Fraction(x, den) if x % den else x // den
 
     def is_zero(self) -> bool:
         return _valuation(self._num) == len(self._num)

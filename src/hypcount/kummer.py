@@ -154,12 +154,6 @@ def basis_vector(v: int) -> tuple:
     return tuple(2 if u == v else 0 for u in POINTS)
 
 
-def kummer_member(w) -> bool:
-    """A half-integer combination of the E_v lies in the primitive lattice
-    iff its odd-numerator support is in Pi_3."""
-    return in_Pi3(odd_support(w))
-
-
 def pairing(w1, w2):
     """Bilinear extension of <E_u, E_v> = -2 delta_uv to half-integer
     vectors: -(1/2) sum a_v b_v."""

@@ -132,9 +132,8 @@ def macmahon_A_recursive(k: int, order: int) -> Series:
     if k == 1:
         return series_A1(order)
     prev = macmahon_A_recursive(k - 1, order)
-    prod, c = (series_A1(order) * prev).coeffs, k * (k - 1)
-    num = [6 * p + (c - 2 * n) * a for n, (p, a) in enumerate(zip(prod, prev.coeffs))]
-    return Series(num, order) * Fraction(1, (2 * k + 1) * 2 * k)
+    numerator = series_A1(order) * prev * 6 + prev * (k * (k - 1)) - prev.qderiv() * 2
+    return numerator * Fraction(1, (2 * k + 1) * 2 * k)
 
 
 @lru_cache(maxsize=None)
@@ -147,9 +146,8 @@ def macmahon_C_recursive(k: int, order: int) -> Series:
         a1 = series_A1(order)
         return a1 - a1.compose_monomial(2)
     prev = macmahon_C_recursive(k - 1, order)
-    prod, c = (macmahon_C_recursive(1, order) * prev).coeffs, (k - 1) ** 2
-    num = [2 * p + (c - n) * a for n, (p, a) in enumerate(zip(prod, prev.coeffs))]
-    return Series(num, order) * Fraction(1, 2 * k * (2 * k - 1))
+    numerator = macmahon_C_recursive(1, order) * prev * 2 + prev * (k - 1) ** 2 - prev.qderiv()
+    return numerator * Fraction(1, 2 * k * (2 * k - 1))
 
 
 def macmahon_A(k: int, order: int) -> Series:

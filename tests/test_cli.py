@@ -84,6 +84,13 @@ def test_env_order_precedence(capsys, monkeypatch):
     assert code == 0 and out.strip() == "q + 3q^2"
 
 
+def test_env_order_not_an_integer_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("HYPCOUNT_ORDER", "abc")
+    code, out, err = run(capsys, "series", "--name", "E")
+    assert (code, out) == (2, "")
+    assert err == "error: HYPCOUNT_ORDER must be an integer, got 'abc'\n"
+
+
 @pytest.mark.parametrize("order, message", [
     (cli.ORDER_MAX + 1, f"error: order must be <= {cli.ORDER_MAX}\n"),
     (-1, "error: order must be >= 0\n"),
@@ -149,6 +156,9 @@ LAYOUT_PINS = [
     # orders not divisible by 4, where each factor's order // m rounds down
     ("genus --g 6 --order 127 --table", "abaa1c227260ee149a1e6ae71acde54ad9a1a8ccd3db6ffa33b620ecd6a98491"),
     ("genus --g 7 --order 129 --format csv", "f9a2698406d5dad59931b0d5f40b6ab95a5fc869e5b5c901267e3fb8eb6072b5"),
+    # A_20 and C_20, deep in each MacMahon recursion (the cache roster stops at k = 5)
+    ("series --name A --k 20 --order 2048 --format json", "44466e26a6dced3ae2ef5aba17c753b2e5f297d048764d0eb16ed784b720b838"),
+    ("series --name C --k 20 --order 2048 --format json", "5d0df3beb4f5f1b6171086d38fd8efb705922be88f4a68311775df380f14070f"),
 ]
 
 
@@ -364,6 +374,13 @@ def test_fgk_bad_profile_is_usage_error(capsys):
     assert code == 2 and "16" in err
 
 
+def test_fgk_non_integer_profile_is_usage_error(capsys):
+    cfg = ",".join(["1", "x"] + ["0"] * 14)
+    code, out, err = run(capsys, "fgk", "--config", cfg, "--order", "4")
+    assert (code, out) == (2, "")
+    assert err == f"error: profile must be 16 comma-separated integers, got {cfg!r}\n"
+
+
 def test_fgk_odd_total_is_usage_error(capsys):
     cfg = ",".join(["1"] * 3 + ["0"] * 13)
     code, _, err = run(capsys, "fgk", "--config", cfg, "--order", "4")
@@ -569,6 +586,19 @@ def test_verify_all_has_single_known_failure(capsys):
     assert lines[-1].endswith("checks passed")
 
 
+def test_verify_reports_a_check_that_raises_as_a_fail(capsys, monkeypatch):
+    def crash(order, rng):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(verify, "CHECKS", [("fps", "crash", "a crashing check", crash)])
+    code, out, _ = run(capsys, "verify", "--suite", "fps", "--order", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "[FAIL] fps:crash  raised ZeroDivisionError: division by zero  (a crashing check)",
+        "0/1 checks passed",
+    ]
+
+
 def test_verify_check_ids_are_unique():
     # a duplicate id would shadow a check in the verify_all fixture; the
     # benchmark's verify workload expects exactly 42 checks
@@ -714,6 +744,8 @@ def test_cache_write_is_byte_stable(capsys, tmp_path):
         ('{"name": "E", "params": [], "order": 8, "coeffs": [0]}', "coeffs must be a list of strings"),
         ('{"name": ["A"], "params": [], "order": 4, "coeffs": ["1"]}', "name must be a string"),
         ('{"name": {"A": 1}, "params": [], "order": 4, "coeffs": ["1"]}', "name must be a string"),
+        ('{"name": "A", "params": ["1"], "order": 8, "coeffs": []}',
+         "params must be a list of at most one integer"),
     ],
 )
 def test_cache_check_reports_invalid_files(capsys, tmp_path, text, reason):

@@ -56,6 +56,19 @@ def test_fgk_rejects_small_total():
         counting.f_gk(profile((0, 4)), 8)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: counting.f_gk(profile(ROW0)[:15], 8), "each of 16 points"),
+        (lambda: counting.genus_total(0, 8), "genus must be >= 1"),
+    ],
+    ids=["15-entry-profile", "genus-0"],
+)
+def test_bad_argument_is_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_fgk_double_triple_is_A1_squared():
     got = counting.f_gk(profile(ROW0, extra=[(0, 2), (4, 2)]), 16)
     a1u4 = qforms.macmahon_A(1, 16).compose_monomial(4)

@@ -348,6 +348,7 @@ def test_kernel_matches_fraction_oracle(a, b, s, scalar, m, t):
     order = min(len(a), len(s)) - 1
     assert_coeffs(sa * ss, fraction_product(a, s, order))
     assert_coeffs(sa * scalar, [Fraction(x) * scalar for x in a])
+    assert_coeffs(scalar - sa, [scalar - a[0]] + [-Fraction(x) for x in a[1:]])
     n = len(a) - 1
     assert_coeffs(sa.invert(), rational_inverse(a, n))
     assert_coeffs(sa ** 3, fraction_product(fraction_product(a, a, n), a, n))
@@ -373,6 +374,19 @@ def test_results_are_in_lowest_terms(got, want, text):
     # equals the integer series and writes "1", never "2/2"
     assert got == want
     assert got.to_json() == {"denom": 1, "order": want.order, "coeffs": text}
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (lambda s: s ** 1.5, "series power must be an integer"),
+        (lambda s: s.shift(-1), "shift must be >= 0"),
+    ],
+    ids=["power-1.5", "shift-1"],
+)
+def test_bad_argument_is_domain_error(op, message):
+    with pytest.raises(DomainError, match=message):
+        op(Series([1, 2], 1))
 
 
 def test_truncate_validates_its_order():

@@ -147,13 +147,6 @@ def test_odd_support_matches_per_entry_loop(vector):
 # -- half-lattice vectors and pairing --------------------------------------------
 
 
-def test_kummer_member_examples():
-    assert kummer.kummer_member(kummer.basis_vector(3))  # odd support empty
-    plane = kummer.affine_threeplanes()[0]
-    assert kummer.kummer_member(kummer.subset_hat(plane))
-    assert not kummer.kummer_member(kummer.subset_hat(kummer.mask_from_points((0, 4))))
-
-
 def test_pairing_reference_values():
     e0 = kummer.subset_hat(kummer.EPS0_MASK)
     e1 = kummer.subset_hat(kummer.EPS1_MASK)

@@ -164,6 +164,10 @@ PERTURBED_SIDES = [
     ("two-route", counting, "_factor"),
     ("macmahon-A-cross", qforms, "_nested_sums"),
     ("macmahon-A-cross", qforms, "macmahon_A_recursive"),
+    ("macmahon-C-cross", qforms, "_nested_sums"),
+    ("macmahon-C-cross", qforms, "macmahon_C_recursive"),
+    ("andrews-rose-G", trig, "theta_block_q"),
+    ("pochhammer-split", qforms, "pochhammer"),
     ("h-ode", trig, "two_sin_half"),
 ]
 
