@@ -4,16 +4,18 @@ Subcommands: series (named q-series), fgk (one multiplicity profile),
 genus (aggregated count report), orbits (translation-orbit table), verify
 (identity suites), cache (named-form JSON store).  Exit codes: 0 success,
 1 verification failure, 2 usage error or a file that cannot be read or
-written.  Each cmd_* validates its input and returns (text, exit code),
-where text is a string or, for the genus JSON listing and every orbits
-layout, pieces built one orbit class at a time from packed rows enumerated
-before the command returns; main() alone writes it, with one writelines to
---out or stdout, and turns errors into an ``error: <msg>`` line.  A stdout
-closed early (``| head``) is no error: the rest is dropped, the code stays.
-The library's records carry data, and every layout of them is made here:
-the table rows and their order, the fgk document, the listings.  Every
-JSON byte is json.dumps' own, with sorted keys and an indent of 2; a JSON
-listing splices its rows into the text of its document.
+written.  Each cmd_* validates its input, computes its data and returns
+(text, exit code), where text is a string or, for every series, fgk, genus
+and orbits layout, pieces formatted as they are written: a term, a row, a
+line or an encoder piece at a time, so no layout joins its whole document.
+main() alone writes it, with one writelines to --out or stdout, and turns
+errors into an ``error: <msg>`` line.  A stdout closed early (``| head``)
+is no error: the rest is dropped, the code stays.  The library's records
+carry data, and every layout of them is made here: the table rows and
+their order, the fgk document, the listings.  Every JSON byte comes from
+one json.JSONEncoder with sorted keys and an indent of 2, whose pieces
+join to json.dumps' text for the same settings; a JSON listing splices its
+rows into the text of its document.
 
 Configuration precedence is flags > environment > defaults; the recognized
 environment variables are HYPCOUNT_ORDER and HYPCOUNT_CACHE_DIR.
@@ -25,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import DomainError, HypcountError
 from . import SUITES, counting, kummer, qforms
@@ -49,24 +51,32 @@ GENUS_MAX_LISTED = 7
 
 # Largest truncation order.  `cache --action write` builds every named form: in a
 # fresh process (2 vCPUs) it took 0.15 s at order 1024, 0.22 s at 2048, 0.49 s at
-# 4096 and 1.2 s at 8192 (33 MB), medians of three; at 16384 the forms took 3.5 s
-# (61 MB), most of it `delta_inv` and the MacMahon recursions.  A deep MacMahon
+# 4096 and 1.2 s at 8192, medians of three, and 23.6 MB peak RSS at 8192 with each
+# file written in encoder pieces (medians of seven); at 16384 the forms took 3.5 s
+# (61 MB, files joined whole), most of it `delta_inv` and the MacMahon recursions.  A deep MacMahon
 # index (`series --name A --k 127`) costs far more per order, so the limit stays.
 ORDER_MAX = 8192
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)  # the canonical encoding
 _HOLE = '"\\u0000"'  # the JSON text of the string "\0", which no field holds
 
 
 def _holes(obj, nl="\n"):
-    """The canonical JSON text of obj (sorted keys, an indent of 2) at indent
-    nl, split at each "\\u0000" string.  JSON text holds no raw line break
-    but its indent breaks, so the replace re-indents it and nothing else."""
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl).split(_HOLE)
+    """The canonical JSON text of obj at indent nl, split at each "\\u0000"
+    string.  JSON text holds no raw line break but its indent breaks, so the
+    replace re-indents it and nothing else."""
+    return _ENCODER.encode(obj).replace("\n", nl).split(_HOLE)
 
 
-def _canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _json(data):
+    """The canonical JSON text of data and its final line break, in groups
+    of 128 encoder pieces.  The encoder yields about one piece per list
+    entry: for the 17 cache forms at order 8192, a write or a compare per
+    piece took 94-135 ms in-process against 74-90 ms for the joined text,
+    and per group 71-87 ms."""
+    pieces = chain(_ENCODER.iterencode(data), ["\n"])
+    return iter(lambda: "".join(islice(pieces, 128)), "")  # no piece is empty
 
 
 def _listing(doc, orbits, shapes=None):
@@ -107,18 +117,18 @@ def _env_order() -> int:
         raise DomainError(f"HYPCOUNT_ORDER must be an integer, got {raw!r}")
 
 
-def _series_csv(series, var="q") -> str:
-    rows = [f"{n},{c}" for n, c in enumerate(series.to_json()["coeffs"])]
-    return "\n".join([f"{var}^n,coefficient", *rows]) + "\n"
+def _series_csv(series, var="q"):
+    rows = (f"{n},{c}\n" for n, c in enumerate(map(str, series.coeffs)))
+    return chain([f"{var}^n,coefficient\n"], rows)
 
 
 def cmd_series(args) -> tuple:
     form = qforms.named_form(args.name, k=args.k, order=args.order)
     if args.format == "json":
-        return _canonical_json(form.to_json()), 0
+        return _json(form.to_json()), 0
     if args.format == "csv":
         return _series_csv(form.series), 0
-    return form.series.format() + "\n", 0
+    return chain(form.series.iterformat(), ["\n"]), 0
 
 
 def _parse_profile(raw: str):
@@ -137,29 +147,27 @@ def cmd_fgk(args) -> tuple:
     shape = result.shape if result.coset else "0"
     if args.format == "json":
         doc = {"config": list(config), "coset": result.coset or "none", "shape": shape}
-        return _canonical_json({**doc, **result.series.to_json()}), 0
+        return _json({**doc, **result.series.to_json()}), 0
     if args.format == "csv":
         return _series_csv(result.series, var="u"), 0
-    lines = [
-        f"profile : {','.join(str(v) for v in config)}",
-        f"total   : {sum(config)} (geometric genus {(sum(config) - 2) // 2})",
-        f"coset   : {result.coset or 'none (inadmissible; series is 0)'}",
-        f"shape   : {shape}",
+    head = [
+        f"profile : {','.join(str(v) for v in config)}\n",
+        f"total   : {sum(config)} (geometric genus {(sum(config) - 2) // 2})\n",
+        f"coset   : {result.coset or 'none (inadmissible; series is 0)'}\n",
+        f"shape   : {shape}\n",
     ]
     if result.coset:
-        lines.append(f"min h   : {counting.min_arith_genus(config)}")
-    lines.append(f"series  : {result.series.format(var='u')}")
-    lines.append("   n (=h-1)  h     count")
-    for n, c in enumerate(result.series.coeffs):
-        if c:
-            lines.append(f"   {n:<9} {n + 1:<5} {c}")
-    return "\n".join(lines) + "\n", 0
+        head.append(f"min h   : {counting.min_arith_genus(config)}\n")
+    counts = (f"   {n:<9} {n + 1:<5} {c}\n" for n, c in enumerate(result.series.coeffs) if c)
+    return chain(head, ["series  : "], result.series.iterformat(var="u"),
+                 ["\n   n (=h-1)  h     count\n"], counts), 0
 
 
-def _table_cells(report, mult_title: str) -> list:
-    """The rows of both table layouts as strings, in their one order: the
-    header, each shape's multiplicity and bare series by valuation, then name
-    (vanishing shapes last), then the total F_g(u); a zero is an empty cell."""
+def _table_cells(report, mult_title: str):
+    """The rows of both table layouts as lists of strings, each built as it
+    is read, in their one order: the header, each shape's multiplicity and
+    bare series by valuation, then name (vanishing shapes last), then the
+    total F_g(u); a zero is an empty cell."""
 
     def key(shape):
         val = report.shapes[shape][1].valuation()
@@ -167,22 +175,20 @@ def _table_cells(report, mult_title: str) -> list:
 
     rows = [(shape, *report.shapes[shape]) for shape in sorted(report.shapes, key=key)]
     rows.append((f"F_{report.genus}(u)", "", report.total))
-    return [["shape", mult_title] + [f"q^{n}" for n in range(2, report.order + 1)]] + [
-        [name, str(mult)] + [str(c) if c else "" for c in series.coeffs[2:]]
-        for name, mult, series in rows
-    ]
+    yield ["shape", mult_title] + [f"q^{n}" for n in range(2, report.order + 1)]
+    for name, mult, series in rows:
+        yield [name, str(mult)] + [str(c) if c else "" for c in series.coeffs[2:]]
 
 
-def _report_table_text(report) -> str:
-    header, *cells = _table_cells(report, "mult")
-    widths = [max(4, *map(len, column)) for column in zip(header, *cells)]
-
-    def line(row):
-        first = row[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(row[1:], widths[1:]))
-        return f"{first}  {rest}"
-
-    return "\n".join([line(header)] + [line(row) for row in cells]) + "\n"
+def _report_table_lines(report):
+    """The --table layout, one line per row as it is written; the column
+    widths come from a first pass over the rows that keeps no cells."""
+    widths = None
+    for row in _table_cells(report, "mult"):
+        widths = list(map(max, widths or [4] * len(row), map(len, row)))
+    first, rest = widths[0], widths[1:]
+    return ("  ".join([row[0].ljust(first), *map(str.rjust, row[1:], rest)]) + "\n"
+            for row in _table_cells(report, "mult"))
 
 
 def cmd_genus(args) -> tuple:
@@ -200,18 +206,17 @@ def cmd_genus(args) -> tuple:
         rows = kummer.orbit_rows(2 * args.g + 2)
         return _listing(doc, kummer.unpack_rows(rows), report.shapes), 0
     if args.format == "csv":
-        cells = _table_cells(report, "multiplicity")
-        return "\n".join(",".join(row) for row in cells) + "\n", 0
+        return (",".join(row) + "\n" for row in _table_cells(report, "multiplicity")), 0
     if args.table:
-        return _report_table_text(report), 0
-    lines = [
-        f"genus {args.g}: {sum(report.shape_multiplicities().values())} orbit classes, "
-        f"degree {2 * args.g + 2}, order {args.order}",
+        return _report_table_lines(report), 0
+    mults = report.shape_multiplicities()
+    head = [
+        f"genus {args.g}: {sum(mults.values())} orbit classes, "
+        f"degree {2 * args.g + 2}, order {args.order}\n",
+        *(f"  {mult} x {shape}\n" for shape, mult in sorted(mults.items())),
+        "total: ",
     ]
-    for shape, mult in sorted(report.shape_multiplicities().items()):
-        lines.append(f"  {mult} x {shape}")
-    lines.append(f"total: {report.total.format(var='u')}")
-    return "\n".join(lines) + "\n", 0
+    return chain(head, report.total.iterformat(var="u"), ["\n"]), 0
 
 
 def cmd_orbits(args) -> tuple:
@@ -245,8 +250,9 @@ CACHE_ROSTER = (
 
 
 def _load_cached(stored: str):
-    """(data, recomputed form) of one cache file's text; a ValueError says
-    why the file is not a valid cache entry."""
+    """The recomputed form of one cache file's text, built after the parsed
+    text is dropped; a ValueError says why the file is not a valid cache
+    entry."""
     try:
         data = json.loads(stored)
     except ValueError as exc:
@@ -258,7 +264,7 @@ def _load_cached(stored: str):
             raise ValueError(f"missing key {key!r}")
     if not isinstance(data["name"], str):
         raise ValueError("name must be a string")
-    params, order = data["params"], data["order"]
+    name, params, order = data["name"], data["params"], data["order"]
     if not (isinstance(params, list) and len(params) <= 1
             and all(type(p) is int for p in params)):
         raise ValueError("params must be a list of at most one integer")
@@ -267,13 +273,21 @@ def _load_cached(stored: str):
     coeffs = data["coeffs"]
     if not (isinstance(coeffs, list) and set(map(type, coeffs)) <= {str}):
         raise ValueError("coeffs must be a list of strings")
+    del data, coeffs  # the parsed copy, about the size of the text
     try:
-        form = qforms.named_form(
-            data["name"], k=params[0] if params else None, order=order
-        )
+        return qforms.named_form(name, k=params[0] if params else None, order=order)
     except DomainError as exc:
         raise ValueError(str(exc)) from None
-    return data, form
+
+
+def _equals_text(stored: str, pieces) -> bool:
+    """Whether the pieces join to stored, compared in place one at a time."""
+    end = 0
+    for piece in pieces:
+        if not stored.startswith(piece, end):
+            return False
+        end += len(piece)
+    return end == len(stored)
 
 
 def cmd_cache(args) -> tuple:
@@ -288,7 +302,7 @@ def cmd_cache(args) -> tuple:
             form = qforms.named_form(name, k=k, order=args.order)
             path = os.path.join(cache_dir, form.key() + ".json")
             with open(path, "w") as fh:
-                fh.write(_canonical_json(form.to_json()))
+                fh.writelines(_json(form.to_json()))
         return f"wrote {len(CACHE_ROSTER)} forms to {cache_dir}\n", 0
     if args.action == "clear":
         if os.path.isdir(cache_dir):
@@ -305,14 +319,14 @@ def cmd_cache(args) -> tuple:
         try:
             with open(os.path.join(cache_dir, entry)) as fh:
                 stored = fh.read()  # a UnicodeDecodeError is a ValueError
-            data, form = _load_cached(stored)
+            form = _load_cached(stored)
         except (OSError, ValueError) as exc:  # also a *.json directory
             lines.append(f"INVALID {entry}: {exc}")
             continue
         if entry != form.key() + ".json":
             lines.append(f"MISMATCH {entry}: holds {form.key()}")
-        elif _canonical_json(form.to_json()) != stored:
-            stored_coeffs = data["coeffs"]
+        elif not _equals_text(stored, _json(form.to_json())):
+            stored_coeffs = json.loads(stored)["coeffs"]  # parsed again only to explain
             fresh_coeffs = form.to_json()["coeffs"]
             delta = next(
                 (

@@ -427,22 +427,22 @@ class Series:
 
     def format(self, var: str = "q") -> str:
         """Human-readable sum, e.g. ``1 + 24q + 324q^2``."""
-        parts = []
+        return "".join(self.iterformat(var))
+
+    def iterformat(self, var: str = "q"):
+        """The text of format(var) in pieces, one per nonzero term with its
+        sign, each built as it is read."""
+        signs = ("", "-")  # (positive, negative) for the first term, then the joins
         for n, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             mono = "" if n == 0 else var if n == 1 else f"{var}^{n}"
             mag = abs(c)
             coef = "" if (mag == 1 and mono) else str(mag)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, f"{coef}{mono}"))
-        if not parts:
-            return "0"
-        first_sign, first = parts[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, term in parts[1:]:
-            out += f" {sign} {term}"
-        return out
+            yield f"{signs[c < 0]}{coef}{mono}"
+            signs = (" + ", " - ")
+        if signs[0] == "":
+            yield "0"
 
     # -- serialization (cache / golden-file format) ---------------------------
 

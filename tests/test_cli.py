@@ -159,6 +159,17 @@ LAYOUT_PINS = [
     # A_20 and C_20, deep in each MacMahon recursion (the cache roster stops at k = 5)
     ("series --name A --k 20 --order 2048 --format json", "44466e26a6dced3ae2ef5aba17c753b2e5f297d048764d0eb16ed784b720b838"),
     ("series --name C --k 20 --order 2048 --format json", "5d0df3beb4f5f1b6171086d38fd8efb705922be88f4a68311775df380f14070f"),
+    # the streamed layouts at their edges: no coefficient column at order 0,
+    # one at order 1 or 2, and long series in each format
+    ("genus --g 1 --order 0 --table", "88ba8d975e5214f9fa5bc63224fcf260963ed06150d18d6681e84220baf8074a"),
+    ("genus --g 1 --order 0 --format csv", "e855c23d49b1ff6a1195fe61d1665d09a64f7221a127629ff91c42d003d07034"),
+    ("genus --g 2 --order 1 --table", "c05033d4294c8940af82e7c30bd34679103144e7f0bd86a21bfa0449e494e43e"),
+    ("genus --g 2 --order 2 --format csv", "8c353670819ae072cd94c7d44aaa835e164e9994505e57ae4bccaea34c5f4fcb"),
+    ("series --name delta_inv --order 2048", "51c92fd1ed8b4d9372893645212377245344a6c79f5fd31340912682ad63f05d"),
+    ("series --name delta_inv --order 2048 --format csv", "c00fc4dd36a17e9ead64c164a5192a030bd4d5ec21942c6ad5ca24ac6c501d6b"),
+    ("fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --order 2048", "8f45bea2b90f4a221c4c579072391865dee49160f6406d987599b6df5687fc4d"),
+    ("fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --order 2048 --format csv", "704865ddee3c4760ad5596ac8183a8c509219d6694acc49e2117cdf9acd3d01e"),
+    ("fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --order 2048 --format json", "a39a65afc1f511234bedbc42908b96fdafaff69f3618cae9dd4939e866729054"),
 ]
 
 
@@ -259,7 +270,13 @@ def test_orbits_json_listing_equals_reference_encoding(capsys, degree):
 
 
 @pytest.mark.parametrize(
-    "argv", ["genus --g 4 --order 12 --format json", "orbits --degree 10 --format json"]
+    "argv",
+    [
+        "genus --g 4 --order 12 --format json",
+        "orbits --degree 10 --format json",
+        "series --name delta_inv --order 300 --format json",
+        "genus --g 3 --order 12 --table",
+    ],
 )
 def test_streamed_listing_out_equals_stdout(capsys, tmp_path, argv):
     _, out, _ = run(capsys, *argv.split())
@@ -347,6 +364,34 @@ def test_listing_enumerates_before_it_writes(capsys, monkeypatch, tmp_path, argv
     assert run(capsys, *argv.split()) == failed
     assert run(capsys, *argv.split(), "--out", str(target)) == failed
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "series --name delta_inv --order 4096",
+        "series --name delta_inv --order 4096 --format csv",
+        "series --name delta_inv --order 4096 --format json",
+        "genus --g 8 --order 128 --table",
+        "genus --g 8 --order 128 --format csv",
+    ],
+)
+def test_layout_is_written_in_pieces(monkeypatch, argv):
+    # every layout is formatted as it is written, so no piece holds more
+    # than a tenth of the document (0.1-0.9 MB here); a document joined
+    # before the write came as one piece
+    sizes = []
+
+    class Stdout:
+        def writelines(self, pieces):
+            sizes.extend(map(len, pieces))
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert cli.main(argv.split()) == 0
+    assert len(sizes) > 1 and max(sizes) <= sum(sizes) / 10
 
 
 # -- fgk --------------------------------------------------------------------
@@ -654,17 +699,22 @@ def test_cli_import_leaves_out_dataclasses_and_verify():
 
 
 def test_reader_closing_stdout_early_is_not_an_error():
-    # `hypcount orbits --degree 12 --format json | head -c 100`
-    argv = ["-m", "hypcount.cli", "orbits", "--degree", "12", "--format", "json"]
-    proc = subprocess.Popen(
-        [sys.executable, *argv], env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    head = proc.stdout.read(100)
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert head.startswith(b"[\n  {")
-    assert err == b""
-    assert proc.returncode == 0
+    # `hypcount orbits --degree 12 --format json | head -c 100`, and the same
+    # for a long JSON series and a wide table, each streamed in pieces
+    for argv, start in [
+        ("orbits --degree 12 --format json", b"[\n  {"),
+        ("series --name delta_inv --order 4096 --format json", b'{\n  "coeffs": [\n    "1",'),
+        ("genus --g 8 --order 128 --table", b"shape "),
+    ]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hypcount.cli", *argv.split()],
+            env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head.startswith(start), argv
+        assert (err, proc.returncode) == (b"", 0), argv
 
 
 @pytest.mark.parametrize(
@@ -696,16 +746,18 @@ def test_cache_roundtrip_and_corruption(capsys, tmp_path):
     assert code == 0
     assert "0 mismatched" in out
 
-    victim = sorted(os.listdir(cache))[0]
-    path = os.path.join(cache, victim)
+    path = os.path.join(cache, "A_1_o8.json")
     with open(path) as fh:
         data = json.load(fh)
     data["coeffs"][1] = "999"
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
     code, out, _ = run(capsys, "cache", "--action", "check", "--dir", cache)
     assert code == 1
-    assert "MISMATCH" in out
+    assert out.splitlines() == [
+        "MISMATCH A_1_o8.json: coefficient of q^1: stored 999, recomputed 1",
+        "checked 17 cached forms, 1 mismatched",
+    ]
 
     code, _, _ = run(capsys, "cache", "--action", "clear", "--dir", cache)
     assert code == 0
@@ -772,6 +824,29 @@ def test_cache_check_reports_coefficient_count_mismatch(capsys, tmp_path):
     assert code == 1
     assert out.splitlines() == [
         "MISMATCH E_o8.json: stored 5 coefficients, recomputed 9",
+        "checked 17 cached forms, 1 mismatched",
+    ]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text[:-1],  # no final line break
+        lambda text: text + " ",
+        lambda text: json.dumps(json.loads(text), sort_keys=True, indent=4) + "\n",
+    ],
+    ids=["newline-missing", "byte-added", "reindented"],
+)
+def test_cache_check_reports_byte_difference_outside_coefficients(capsys, tmp_path, edit):
+    # the text is compared piece by piece, and parsed again only to explain
+    cache = tmp_path / "forms"
+    run(capsys, "cache", "--action", "write", "--dir", str(cache), "--order", "8")
+    path = cache / "E_o8.json"
+    path.write_text(edit(path.read_text()))
+    code, out, err = run(capsys, "cache", "--action", "check", "--dir", str(cache))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "MISMATCH E_o8.json: byte-level difference outside the coefficients",
         "checked 17 cached forms, 1 mismatched",
     ]
 
