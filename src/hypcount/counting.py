@@ -26,7 +26,7 @@ from operator import mul
 
 from .errors import DomainError
 from .fps import Series
-from . import kummer, qforms, trig
+from . import kummer, qforms
 
 
 def _family(kv: int):
@@ -129,6 +129,7 @@ def _potential_term(values, order: int) -> Series:
     odd values), give the u-series.  A repeated value multiplies its column
     in again rather than take a power, so no positive-power code is shared
     with _product."""
+    from . import trig  # only verify and the tests take this route
     term = qforms.delta_inv_times_q(order // 2)
     for kv in values:
         block = trig.theta_block_q("h" if kv % 2 else "g", order // 2)

@@ -9,6 +9,10 @@ one positive denominator, in lowest terms, so every kernel operation runs
 on ints and equal series store equal integers.  ``coeffs``, the tuple of
 ints and Fractions that callers read, is built from them on each read.
 
+A scalar is an int or has integer ``numerator`` and ``denominator`` (as
+Fraction has).  Only a non-integral coefficient, read or given, imports
+``fractions``, so integral work never loads it nor the ``decimal`` it loads.
+
 Truncation discipline: binary operations truncate the result to the
 minimum order of the operands.  A Series is never silently re-extended; a
 zero tail means "known zero up to order", not "unknown".
@@ -16,25 +20,31 @@ zero tail means "known zero up to order", not "unknown".
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 from operator import mul
 
 from .errors import DomainError, NonzeroConstantTerm, ZeroConstantTerm
 
-Rational = int | Fraction
+
+def _ratio(x):
+    """(numerator, denominator) of a scalar, or None if x is not one."""
+    if type(x) is int:  # bool and Fraction answer through the attributes
+        return x, 1
+    p, q = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    return (p, q) if type(p) is int and type(q) is int and q > 0 else None
 
 
-def _norm(c) -> Rational:
-    """Canonical coefficient: integral Fractions collapse to int."""
-    if type(c) is int:  # skips the slow ABC isinstance check on the hot path
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    if isinstance(c, int):  # bool and other int subclasses become plain int
-        return int(c)
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+def _norm(c):
+    """Canonical coefficient of a scalar: an int, or a Fraction with
+    denominator > 1."""
+    r = _ratio(c)
+    if r is None:
+        raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+    if r[1] == 1:
+        return r[0]
+    from fractions import Fraction
+    return c if type(c) is Fraction else Fraction(*r)
 
 
 # -- integer kernel ------------------------------------------------------------
@@ -233,6 +243,7 @@ class Series:
         den = self._den
         if den == 1:
             return self._num
+        from fractions import Fraction
         return tuple(Fraction(x, den) if x % den else x // den for x in self._num)
 
     # -- constructors ------------------------------------------------------
@@ -256,10 +267,14 @@ class Series:
 
     # -- ring operations ---------------------------------------------------
 
+    def _constant(self, other) -> "Series | None":
+        """The scalar other as a constant series of this order, or None."""
+        r = _ratio(other)
+        return None if r is None else Series._of([r[0]] + [0] * self.order, r[1], self.order)
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Series([other], self.order)
-        elif not isinstance(other, Series):
+        other = other if isinstance(other, Series) else self._constant(other)
+        if other is None:
             return NotImplemented
         order = min(self.order, other.order)
         a, b, da, db = self._num, other._num, self._den, other._den
@@ -285,12 +300,20 @@ class Series:
             order = min(self.order, other.order)
             num = _int_mul(self._num, other._num, order)
             return Series._of(num, self._den * other._den, order)
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            return Series._of([c * p for c in self._num], self._den * q, self.order)
-        return NotImplemented
+        r = _ratio(other)
+        if r is None:
+            return NotImplemented
+        return Series._of([c * r[0] for c in self._num], self._den * r[1], self.order)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, m):
+        """Exact division by a nonzero int."""
+        if not isinstance(m, int):
+            return NotImplemented
+        if m == 0:
+            raise ZeroDivisionError("series division by zero")
+        return Series._of(self._num, self._den * m, self.order)
 
     def __pow__(self, k: int) -> "Series":
         if not isinstance(k, int):
@@ -395,13 +418,16 @@ class Series:
 
     # -- queries -------------------------------------------------------------
 
-    def __getitem__(self, n: int) -> Rational:
-        """Coefficient of q**n; zero above the truncation order is a
-        phantom, so reads past order raise instead of returning 0."""
+    def __getitem__(self, n: int):
+        """Coefficient of q**n, an int or a Fraction; zero above the truncation
+        order is a phantom, so reads past order raise instead of returning 0."""
         if not 0 <= n <= self.order:
             raise IndexError(f"exponent index {n} outside stored order {self.order}")
         x, den = self._num[n], self._den
-        return Fraction(x, den) if x % den else x // den
+        if x % den:
+            from fractions import Fraction
+            return Fraction(x, den)
+        return x // den
 
     def is_zero(self) -> bool:
         return _valuation(self._num) == len(self._num)
@@ -412,9 +438,8 @@ class Series:
         return n if n < len(self._num) else None
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Series([other], self.order)
-        if not isinstance(other, Series):
+        other = other if isinstance(other, Series) else self._constant(other)
+        if other is None:
             return NotImplemented
         if self.order != other.order:
             raise ValueError(f"cannot compare series of orders {self.order} and {other.order}")
@@ -449,5 +474,9 @@ class Series:
     def to_json(self) -> dict:
         # the first key, once an exponent denominator, stays so that existing
         # cache files and output digests remain valid
-        # coefficients are ints or Fractions with denominator > 1, so str writes n/d
-        return {"denom": 1, "order": self.order, "coeffs": list(map(str, self.coeffs))}
+        # each coefficient in lowest terms as str writes a Fraction: n, or n/d with d > 1
+        den, coeffs = self._den, []
+        for x in self._num:
+            g = gcd(x, den)
+            coeffs.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return {"denom": 1, "order": self.order, "coeffs": coeffs}

@@ -19,7 +19,6 @@ Translation classes of admissible profiles are packed 18-byte rows
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, compress, repeat
 from math import factorial
@@ -157,6 +156,7 @@ def basis_vector(v: int) -> tuple:
 def pairing(w1, w2):
     """Bilinear extension of <E_u, E_v> = -2 delta_uv to half-integer
     vectors: -(1/2) sum a_v b_v."""
+    from fractions import Fraction  # only verify reads the pairing
     acc = sum(a * b for a, b in zip(w1, w2))
     out = -Fraction(acc, 2)
     return int(out) if out.denominator == 1 else out

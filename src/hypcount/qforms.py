@@ -10,7 +10,6 @@ caller asks for the same arguments twice; no result depends on a memo.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -42,7 +41,7 @@ def series_E(order: int) -> Series:
 def series_E2(order: int) -> Series:
     """Weight-2 Eisenstein series normalized as -1/24 + sum sigma_1(n) q^n,
     so that the genus-2 divisor series equals E2 + 1/24 verbatim."""
-    return series_A1(order) + Fraction(-1, 24)
+    return (series_A1(order) * 24 - 1) / 24
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +132,7 @@ def macmahon_A_recursive(k: int, order: int) -> Series:
         return series_A1(order)
     prev = macmahon_A_recursive(k - 1, order)
     numerator = series_A1(order) * prev * 6 + prev * (k * (k - 1)) - prev.qderiv() * 2
-    return numerator * Fraction(1, (2 * k + 1) * 2 * k)
+    return numerator / ((2 * k + 1) * 2 * k)
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +146,7 @@ def macmahon_C_recursive(k: int, order: int) -> Series:
         return a1 - a1.compose_monomial(2)
     prev = macmahon_C_recursive(k - 1, order)
     numerator = macmahon_C_recursive(1, order) * prev * 2 + prev * (k - 1) ** 2 - prev.qderiv()
-    return numerator * Fraction(1, 2 * k * (2 * k - 1))
+    return numerator / (2 * k * (2 * k - 1))
 
 
 def macmahon_A(k: int, order: int) -> Series:

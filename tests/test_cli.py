@@ -698,6 +698,48 @@ def test_cli_import_leaves_out_dataclasses_and_verify():
     assert passed == total and int(total) > 0
 
 
+RATIONAL_MODULES = {"fractions", "decimal", "hypcount.trig"}
+
+
+def modules_loaded_by(*commands):
+    """The modules that importing cli and running the commands in turn add in
+    a fresh child, past those loaded at its start (``site`` differs by host),
+    with the exit codes."""
+    probe = (
+        "import sys; before = set(sys.modules); from hypcount import cli; "
+        f"codes = [cli.main(argv.split()) for argv in {list(commands)!r}]; "
+        "added = sorted(set(sys.modules) - before); import json; "
+        "print(json.dumps([codes, added]), file=sys.stderr)"
+    )
+    done = fresh_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    codes, added = json.loads(done.stderr.splitlines()[-1])
+    return codes, set(added)
+
+
+@pytest.mark.parametrize("commands", [
+    ["genus --g 5 --table"],
+    ["genus --g 4 --format json --out {tmp}/g4.json"],
+    ["fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0 --format json"],
+    ["orbits --degree 10 --format csv --out {tmp}/o10.csv"],
+    ["series --name A --k 3 --order 64 --format json"],
+    ["series --name E2 --format json"],
+    ["cache --action write --dir {tmp}/c", "cache --action check --dir {tmp}/c"],
+], ids=lambda commands: " / ".join(argv.split(" --out")[0] for argv in commands))
+def test_integral_commands_load_no_fractions(tmp_path, commands):
+    # integral results are written from their integer numerators, and the
+    # potential route that needs trig is reached by verify alone
+    codes, added = modules_loaded_by(*(argv.format(tmp=tmp_path) for argv in commands))
+    assert codes == [0] * len(commands)
+    assert "hypcount.counting" in added and not added & RATIONAL_MODULES
+
+
+def test_rational_text_layout_loads_fractions():
+    # the control: E2's -1/24 is written as a Fraction in the text layout
+    codes, added = modules_loaded_by("series --name E2")
+    assert codes == [0] and "fractions" in added
+
+
 def test_reader_closing_stdout_early_is_not_an_error():
     # `hypcount orbits --degree 12 --format json | head -c 100`, and the same
     # for a long JSON series and a wide table, each streamed in pieces

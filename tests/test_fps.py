@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypcount.errors import DomainError, NonzeroConstantTerm, ZeroConstantTerm
-from hypcount.fps import KRONECKER_MIN, Series, _int_mul, _kron_mul, _school_mul
+from hypcount.fps import KRONECKER_MIN, Series, _int_mul, _kron_mul, _norm, _school_mul
 from hypcount.qforms import pochhammer
 
 
@@ -83,6 +83,69 @@ def test_mul_bigint_no_overflow():
     big = 10 ** 40
     a = S(big, big, order=2)
     assert (a * a).coeffs == (big * big, 2 * big * big, big * big)
+
+
+# -- scalars and exact division ---------------------------------------------
+
+
+INTEGRAL = S(0, 24, -324, 3200, 0, 10 ** 30, order=6)
+RATIONAL = S(Fraction(-1, 24), 1, Fraction(3, 4), 0, Fraction(-7, 6), order=5)
+
+
+@pytest.mark.parametrize("m", [1, -1, 24, -24, 10 ** 20])
+@pytest.mark.parametrize("s", [INTEGRAL, RATIONAL], ids=["integral", "rational"])
+def test_division_by_int_is_times_its_reciprocal(s, m):
+    got = s / m
+    assert got == s * Fraction(1, m)
+    assert got.coeffs == tuple(_norm(Fraction(c) / m) for c in s.coeffs)
+
+
+@pytest.mark.parametrize("m, error", [(0, ZeroDivisionError), (1.5, TypeError),
+                                      (Fraction(1, 2), TypeError), ("2", TypeError)])
+def test_division_by_anything_but_a_nonzero_int_raises(m, error):
+    with pytest.raises(error):
+        INTEGRAL / m
+
+
+@pytest.mark.parametrize("x", [Fraction(3, 4), Fraction(-5, 1), Fraction(0)])
+@pytest.mark.parametrize("s", [INTEGRAL, RATIONAL], ids=["integral", "rational"])
+def test_fraction_operands_act_as_they_always_have(s, x):
+    # a product scales every coefficient, a sum or difference the constant term
+    assert (s * x).coeffs == (x * s).coeffs == tuple(_norm(c * x) for c in s.coeffs)
+    assert (s + x).coeffs == (x + s).coeffs == (_norm(s[0] + x), *s.coeffs[1:])
+    assert (x - s).coeffs == (_norm(x - s[0]), *(-c for c in s.coeffs[1:]))
+    assert not s == x and not x == s
+    assert Series([x], 4) == x and x == Series([x], 4) and Series([x, 1], 4) != x
+
+
+class Ratio:
+    """A scalar that is not a Fraction: integer numerator and denominator only."""
+
+    def __init__(self, p, q):
+        self.numerator, self.denominator = p, q
+
+
+def test_scalar_is_any_integer_numerator_over_denominator():
+    assert RATIONAL * Ratio(2, 3) == RATIONAL * Fraction(2, 3)
+    assert RATIONAL + Ratio(-1, 6) == RATIONAL + Fraction(-1, 6)
+    assert Series([Ratio(4, 2), Ratio(1, 3)]).coeffs == (2, Fraction(1, 3))
+    for foreign in (Ratio(1.0, 2), Ratio(1, 0), Ratio(True, 2)):
+        with pytest.raises(TypeError):
+            RATIONAL * foreign
+        with pytest.raises(TypeError):
+            Series([foreign])
+    assert (RATIONAL == Ratio(1, 0)) is False
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.integers(-60, 60), max_size=30), st.integers(-36, 36).filter(bool))
+@example([0, 3, -6, 9, 12], 6)
+@example([0, 0], -4)
+def test_to_json_coeffs_are_the_str_of_each_coefficient(nums, d):
+    # negative, zero and reducible entries over one denominator: to_json
+    # reduces each by its own gcd with the denominator
+    s = Series(nums) / d
+    assert s.to_json()["coeffs"] == [str(c) for c in s.coeffs]
 
 
 # -- invert ------------------------------------------------------------------

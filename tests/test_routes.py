@@ -169,6 +169,7 @@ PERTURBED_SIDES = [
     ("andrews-rose-G", trig, "theta_block_q"),
     ("pochhammer-split", qforms, "pochhammer"),
     ("h-ode", trig, "two_sin_half"),
+    ("C1-from-A1", qforms, "macmahon_C_direct"),
 ]
 
 
@@ -188,3 +189,46 @@ def test_check_compares_the_results_of_both_sides(monkeypatch, check, module, na
         assert not fn(32, random.Random(0))[0]
     finally:
         clear_caches()
+
+
+def c1_recursive_half(order):
+    a1 = qforms.series_A1(order)
+    return qforms.macmahon_C_recursive(1, order) == a1 - a1.compose_monomial(2)
+
+
+# Definitional comparisons: each tests a builder against its own definition,
+# not against a second route.  series_E2 is defined as A_1 - 1/24, and
+# macmahon_C_recursive(1, o) is seeded by exactly A_1(q) - A_1(q^2), so
+# both sides read series_A1.  They are not two-route checks: no data-flow
+# pair may name their sides.  Each entry: (check, its definitional
+# comparison, the builder under test).
+DEFINITIONAL = [
+    ("eisenstein-remark", lambda o: verify.check_eisenstein_remark(o, None)[0],
+     lambda o: qforms.series_E2(o)),
+    ("C1-from-A1", c1_recursive_half, lambda o: qforms.macmahon_C_recursive(1, o)),
+]
+
+
+@pytest.mark.parametrize("check, comparison, builder", DEFINITIONAL,
+                         ids=[check for check, _, _ in DEFINITIONAL])
+def test_definitional_comparison_passes_whatever_its_definition_gives(
+        monkeypatch, check, comparison, builder):
+    # a perturbed A_1 changes the builder under test and leaves the
+    # comparison passing, because both of its sides read A_1
+    clear_caches()
+    try:
+        assert comparison(32)
+        before = builder(32)
+        clear_caches()
+        original = qforms.series_A1
+        monkeypatch.setattr(qforms, "series_A1", lambda *a: perturbed(original(*a)))
+        assert builder(32) != before
+        assert comparison(32)
+    finally:
+        clear_caches()
+
+
+def test_no_data_flow_pair_counts_a_definitional_side():
+    definitional = {("eisenstein-remark", "series_E2"), ("eisenstein-remark", "series_A1"),
+                    ("C1-from-A1", "macmahon_C_recursive"), ("C1-from-A1", "series_A1")}
+    assert not {(check, name) for check, _, name in PERTURBED_SIDES} & definitional
