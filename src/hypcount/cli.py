@@ -1,21 +1,21 @@
 """Command-line surface.
 
-Subcommands: series (named q-series), fgk (one multiplicity profile),
+COMMANDS maps series (named q-series), fgk (one multiplicity profile),
 genus (aggregated count report), orbits (translation-orbit table), verify
-(identity suites), cache (named-form JSON store).  Exit codes: 0 success,
+(identity suites) and cache (named-form JSON store) to their functions and
+flags; parse_args reads a command line by it.  Exit codes: 0 success,
 1 verification failure, 2 usage error or a file that cannot be read or
 written.  Each cmd_* validates its input, computes its data and returns
 (text, exit code), where text is a string or, for every series, fgk, genus
 and orbits layout, pieces formatted as they are written: a term, a row, a
 line or an encoder piece at a time, so no layout joins its whole document.
 main() alone writes it, with one writelines to --out or stdout, and turns
-errors into an ``error: <msg>`` line.  A stdout closed early (``| head``)
-is no error: the rest is dropped, the code stays.  The library's records
-carry data, and every layout of them is made here: the table rows and
-their order, the fgk document, the listings.  Every JSON byte comes from
-one json.JSONEncoder with sorted keys and an indent of 2, whose pieces
-join to json.dumps' text for the same settings; a JSON listing splices its
-rows into the text of its document.
+every error, a usage error too, into one ``error: <msg>`` line.  A stdout
+closed early (``| head``) is no error: the rest is dropped, the code stays.
+The library's records carry data, and every layout of them is made here:
+the table rows and their order, the fgk document, the listings.  Every
+JSON byte comes from _json's encoder (sorted keys, an indent of 2); a JSON
+listing splices its rows into the text of its document.
 
 Configuration precedence is flags > environment > defaults; the recognized
 environment variables are HYPCOUNT_ORDER and HYPCOUNT_CACHE_DIR.
@@ -23,11 +23,10 @@ environment variables are HYPCOUNT_ORDER and HYPCOUNT_CACHE_DIR.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from itertools import chain, islice
+from types import SimpleNamespace
 
 from .errors import DomainError, HypcountError
 from . import SUITES, counting, kummer, qforms
@@ -58,7 +57,6 @@ GENUS_MAX_LISTED = 7
 ORDER_MAX = 8192
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)  # the canonical encoding
 _HOLE = '"\\u0000"'  # the JSON text of the string "\0", which no field holds
 
 
@@ -66,7 +64,7 @@ def _holes(obj, nl="\n"):
     """The canonical JSON text of obj at indent nl, split at each "\\u0000"
     string.  JSON text holds no raw line break but its indent breaks, so the
     replace re-indents it and nothing else."""
-    return _ENCODER.encode(obj).replace("\n", nl).split(_HOLE)
+    return "".join(_json(obj))[:-1].replace("\n", nl).split(_HOLE)
 
 
 def _json(data):
@@ -75,7 +73,8 @@ def _json(data):
     entry: for the 17 cache forms at order 8192, a write or a compare per
     piece took 94-135 ms in-process against 74-90 ms for the joined text,
     and per group 71-87 ms."""
-    pieces = chain(_ENCODER.iterencode(data), ["\n"])
+    import json  # loaded by the JSON layouts and the cache alone
+    pieces = chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(data), ["\n"])
     return iter(lambda: "".join(islice(pieces, 128)), "")  # no piece is empty
 
 
@@ -107,14 +106,11 @@ def _listing(doc, orbits, shapes=None):
     yield tail + "\n"
 
 
-def _env_order() -> int:
-    raw = os.environ.get("HYPCOUNT_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER
+def _int(name: str, raw) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise DomainError(f"HYPCOUNT_ORDER must be an integer, got {raw!r}")
+        raise DomainError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _series_csv(series, var="q"):
@@ -253,6 +249,7 @@ def _load_cached(stored: str):
     """The recomputed form of one cache file's text, built after the parsed
     text is dropped; a ValueError says why the file is not a valid cache
     entry."""
+    import json
     try:
         data = json.loads(stored)
     except ValueError as exc:
@@ -326,6 +323,7 @@ def cmd_cache(args) -> tuple:
         if entry != form.key() + ".json":
             lines.append(f"MISMATCH {entry}: holds {form.key()}")
         elif not _equals_text(stored, _json(form.to_json())):
+            import json
             stored_coeffs = json.loads(stored)["coeffs"]  # parsed again only to explain
             fresh_coeffs = form.to_json()["coeffs"]
             delta = next(
@@ -344,71 +342,71 @@ def cmd_cache(args) -> tuple:
     return "\n".join(lines) + "\n", 1 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hypcount",
-        description="Exact q-series calculus for hyperelliptic curve counts "
-        "on polarized Abelian surfaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_LAYOUT = {"format": ("text", "json", "csv"), "out": str}
 
-    def add_common(p, order=True):
-        if order:
-            p.add_argument("--order", type=int, default=None, help="truncation order")
-        p.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text"
-        )
-        p.add_argument("--out", default=None, help="write output to a file")
+# command: (function, {flag: int, str, a tuple of choices or bool}, required flags)
+COMMANDS = {
+    "series": (cmd_series, {"name": str, "k": int, "order": int, **_LAYOUT}, ("name",)),
+    "fgk": (cmd_fgk, {"config": str, "order": int, **_LAYOUT}, ("config",)),
+    "genus": (cmd_genus, {"g": int, "table": bool, "order": int, **_LAYOUT}, ("g",)),
+    "orbits": (cmd_orbits, {"degree": int, **_LAYOUT}, ("degree",)),
+    "verify": (cmd_verify, {"suite": ("all",) + SUITES, "order": int}, ()),
+    "cache": (cmd_cache, {"action": ("write", "check", "clear"), "dir": str, "order": int},
+              ("action",)),
+}
 
-    p = sub.add_parser("series", help="print a named q-series")
-    p.add_argument("--name", required=True, help=f"one of {qforms.FORM_NAMES}")
-    p.add_argument("--k", type=int, default=None, help="index for the A/C families")
-    add_common(p)
-    p.set_defaults(fn=cmd_series)
 
-    p = sub.add_parser("fgk", help="counting series of one multiplicity profile")
-    p.add_argument(
-        "--config", required=True, help="16 comma-separated branch multiplicities"
-    )
-    add_common(p)
-    p.set_defaults(fn=cmd_fgk)
+def _usage(command: str) -> str:
+    """The usage line of one command, built from its COMMANDS entry."""
+    _, flags, required = COMMANDS[command]
+    words = [command]
+    for name, kind in flags.items():
+        shown = {bool: "", int: " INT", str: f" {name.upper()}"}
+        value = shown[kind] if kind in shown else f" {{{','.join(kind)}}}"
+        words.append(f"--{name}{value}" if name in required else f"[--{name}{value}]")
+    return f"usage: hypcount {' '.join(words)}\n"
 
-    p = sub.add_parser("genus", help="aggregated count report for one genus")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--table", action="store_true", help="coefficient-table layout")
-    add_common(p)
-    p.set_defaults(fn=cmd_genus)
 
-    p = sub.add_parser("orbits", help="translation-orbit table for one degree")
-    p.add_argument("--degree", type=int, required=True)
-    add_common(p, order=False)
-    p.set_defaults(fn=cmd_orbits)
-
-    p = sub.add_parser("verify", help="run the identity suites")
-    p.add_argument(
-        "--suite",
-        choices=SUITES + ("all",),
-        default="all",
-    )
-    p.add_argument("--order", type=int, default=None)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("cache", help="persist/validate named-form JSON files")
-    p.add_argument("--action", choices=("write", "check", "clear"), required=True)
-    p.add_argument("--dir", default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.set_defaults(fn=cmd_cache)
-
-    return parser
+def parse_args(argv) -> SimpleNamespace:
+    """A command line walked against COMMANDS: fn, the command's function, and
+    its flags, an absent one None, False or its first choice.  `--flag value`
+    and `--flag=value` parse, a prefix of a flag does not; a usage error is a
+    DomainError.  With -h or --help, fn gives the command's usage, or all."""
+    if "-h" in argv or "--help" in argv:
+        usage = "".join(map(_usage, [argv[0]] if argv[0] in COMMANDS else COMMANDS))
+        return SimpleNamespace(fn=lambda _: (usage, 0))
+    if not argv or argv[0] not in COMMANDS:
+        raise DomainError(f"the command must be one of {', '.join(COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    fn, flags, required = COMMANDS[command]
+    args = SimpleNamespace(fn=fn, **{
+        name: kind[0] if isinstance(kind, tuple) else False if kind is bool else None
+        for name, kind in flags.items() if name not in required})
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kind = flags.get(flag[2:]) if flag.startswith("--") else None
+        if kind is None or kind is bool and eq:
+            raise DomainError(f"unrecognized argument {token} for {command}")
+        if kind is not bool and not eq:
+            value = next(tokens, "--")  # a next flag is no value either
+        if value.startswith("--"):
+            raise DomainError(f"{flag} needs a value")
+        value = _int(flag, value) if kind is int else value
+        if isinstance(kind, tuple) and value not in kind:
+            raise DomainError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+        setattr(args, flag[2:], True if kind is bool else value)
+    for name in required:
+        if not hasattr(args, name):
+            raise DomainError(f"{command} needs --{name}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if "order" in args:  # every command but orbits
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if hasattr(args, "order"):  # every command but orbits
             if args.order is None:
-                args.order = _env_order()
+                args.order = _int("HYPCOUNT_ORDER", os.environ.get("HYPCOUNT_ORDER", DEFAULT_ORDER))
             if args.order < 0:
                 raise DomainError("order must be >= 0")
             if args.order > ORDER_MAX:

@@ -52,11 +52,13 @@ def mask_size(mask: int) -> int:
 
 
 def translate_mask(mask: int, t: int) -> int:
-    out = 0
-    for v in POINTS:
-        if mask >> v & 1:
-            out |= 1 << (v ^ t)
-    return out
+    """The mask of {v ^ t : v in mask}: one swap of 2^i-blocks per set bit i of t."""
+    mask &= FULL_MASK
+    for i, half in enumerate(_HALVES):
+        if t >> i & 1:
+            low, width = FULL_MASK ^ half, 1 << i
+            mask = (mask & low) << width | mask >> width & low
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +256,14 @@ def _support_classes() -> tuple:
     """(P, coset, translations t != 0 in Stab(P)) for one support P of each
     translation class of the 64 admissible supports.  The class holds
     16 / |Stab(P)| supports, all in P's coset, as the coset sizes differ."""
-    classes = {}
+    classes, seen = [], set()
     for which in ("even", "odd"):
         for P in coset_members(which):
-            key = min(translate_mask(P, t) for t in POINTS)
-            if key not in classes:
-                stab = [t for t in POINTS[1:] if translate_mask(P, t) == P]
-                classes[key] = (P, which, tuple(stab))
-    return tuple(classes.values())
+            if P not in seen:  # P is the first support met of its class
+                images = [translate_mask(P, t) for t in POINTS]
+                seen.update(images)
+                classes.append((P, which, tuple(t for t in POINTS[1:] if images[t] == P)))
+    return tuple(classes)
 
 
 def orbit_rows(degree: int) -> list:

@@ -1,11 +1,14 @@
 import gc
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -578,10 +581,9 @@ def test_orbits_ignores_order_environment(capsys, monkeypatch, env):
 
 
 def test_orbits_rejects_order_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["orbits", "--degree", "4", "--order", "5"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --order 5" in capsys.readouterr().err
+    code, out, err = run(capsys, "orbits", "--degree", "4", "--order", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--order" in err
 
 
 def test_orbit_listing_labels_each_value_multiset_once(capsys):
@@ -738,6 +740,162 @@ def test_rational_text_layout_loads_fractions():
     # the control: E2's -1/24 is written as a Fraction in the text layout
     codes, added = modules_loaded_by("series --name E2")
     assert codes == [0] and "fractions" in added
+
+
+START_UP_MODULES = {"argparse", "gettext", "json"}
+
+
+@pytest.mark.parametrize("commands", [
+    [],
+    ["genus --g 3"],
+    ["genus --g 5 --table"],
+    ["orbits --degree 10 --format csv"],
+    ["fgk --config 3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0"],
+], ids=lambda commands: " / ".join(commands) or "import")
+def test_text_layouts_load_no_argparse_or_json(commands):
+    # a command line is read against cli.COMMANDS, and json is imported by
+    # the first JSON text written or read
+    codes, added = modules_loaded_by(*commands)
+    assert codes == [0] * len(commands)
+    assert not added & START_UP_MODULES
+
+
+def test_json_layout_loads_json():
+    # the control: the same probe sees json arrive with a JSON layout
+    codes, added = modules_loaded_by("orbits --degree 8 --format json")
+    assert codes == [0] and "json" in added and "argparse" not in added
+
+
+def test_help_lists_the_commands_or_one_commands_flags(capsys):
+    done = fresh_python("-m", "hypcount.cli", "--help")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert [line.split()[2] for line in done.stdout.splitlines()] == list(cli.COMMANDS)
+    genus = "usage: hypcount genus --g INT [--table] [--order INT] [--format {text,json,csv}] [--out OUT]\n"
+    for argv in (["genus", "--help"], ["genus", "--g", "3", "-h"], ["genus", "--bogus", "-h"]):
+        assert run(capsys, *argv) == (0, genus, "")
+    assert run(capsys, "-h") == (0, done.stdout, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("", "the command must be one of series, fgk, genus, orbits, verify, cache"),
+    ("--g 3", "the command must be one of series, fgk, genus, orbits, verify, cache"),
+    ("genus", "genus needs --g"),
+    ("genus --g", "--g needs a value"),
+    ("genus --g 3 --out --table", "--out needs a value"),  # writes no file "--table"
+    ("genus --g 0x10", "--g must be an integer, got '0x10'"),
+    ("genus --g=", "--g must be an integer, got ''"),
+    ("genus --g 3 --table=yes", "unrecognized argument --table=yes for genus"),
+    ("genus --g 3 4", "unrecognized argument 4 for genus"),
+    ("orbits --deg 10", "unrecognized argument --deg for orbits"),
+    ("orbits --degree 4 -d", "unrecognized argument -d for orbits"),
+    ("verify --suite nope", "--suite must be one of all, fps, qforms, trig, kummer, counting, got 'nope'"),
+    ("cache --dir x", "cache needs --action"),
+])
+def test_usage_error_is_one_line(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_flag_equals_value_parses_as_flag_value(capsys):
+    # a repeated flag keeps its last value
+    plain = run(capsys, *"genus --g 3 --order 12 --table".split())
+    assert plain[0] == 0
+    assert run(capsys, *"genus --g=3 --order=5 --table --order=12".split()) == plain
+    assert run(capsys, *"series --name=A --k=1 --order 6".split())[1] == "q + 3q^2 + 4q^3 + 7q^4 + 6q^5 + 12q^6\n"
+
+
+# Each command's flags with (accepted, rejected) values to draw.  Accepted
+# values keep each case cheap: orders up to 64, one verify suite at a time,
+# genus JSON at g <= 5, listings at degree <= 12, caches in a fresh
+# directory.  Rejected ones are drawn freely, since they are refused before
+# any work.  "{tmp}" is each case's own directory, holding a file "afile".
+ORDERS = (["0", "3", "16", "64", " 4", "\u0664"],
+          [str(cli.ORDER_MAX + 1), "-1", "1e3", "0x10", str(10**20), ""])
+LAYOUT = {
+    "--format": (["text", "json", "csv"], ["yaml"]),
+    "--out": (["{tmp}/out"], ["{tmp}/missing/out", "{tmp}"]),
+}
+PROFILES = (
+    ["3,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0", "1,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0",
+     "40,0,0,0,1,0,0,0,1,0,0,0,1,0,0,1"],
+    ["-1,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0", "x,0,0,0,1,0,0,0,1,0,0,0,1,0,0,0",
+     "1,1,1,1,0,0,0,0,0,0,0,0,0,0,0", ",".join("0" * 17), "1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0", ""],
+)
+GRAMMAR = {  # command: ({flag: (accepted, rejected)}, its required flags)
+    "series": ({"--name": (["A", "C", "E2", "delta_inv"], ["nope"]),
+                "--k": (["0", "5", "200"], ["-1", "x"]), "--order": ORDERS, **LAYOUT}, ["--name"]),
+    "fgk": ({"--config": PROFILES, "--order": ORDERS, **LAYOUT}, ["--config"]),
+    "genus": ({"--g": (["1", "3", "5", " 4"], ["13", "0", "1e3"]),
+               "--table": ([None], ["x"]), "--order": ORDERS, **LAYOUT}, ["--g"]),
+    "orbits": ({"--degree": (["4", "8", "12", "\u0664"], ["18", "7", "0x10"]), **LAYOUT},
+               ["--degree"]),
+    # verify runs every suite without --suite, so the law never drops it
+    "verify": ({"--suite": (list(SUITES), ["nope"]), "--order": ORDERS}, ["--suite"]),
+    "cache": ({"--action": (["write", "check", "clear"], ["nope"]), "--order": ORDERS,
+               "--dir": (["{tmp}/c"], ["{tmp}/afile", "{tmp}"])}, ["--action", "--dir"]),
+}
+FOREIGN = ["--bogus", "--deg", "--ord", "--order", "-h", "5"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of the grammar: the command's required flags and any
+    others, with accepted values, each as `--flag value` or `--flag=value`;
+    then up to two faults, each a flag given last with a rejected value, a
+    repeated or dropped flag, a foreign token or a flag without its value."""
+    command = draw(st.sampled_from([*GRAMMAR] * 4 + ["bogus", "--order"]))
+    flags, required = GRAMMAR.get(command, ({"--order": ORDERS}, []))
+    names = required + [name for name in flags if name not in required and draw(st.booleans())]
+    items = [[name, draw(st.sampled_from(flags[name][0]))] for name in names]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        fault = draw(st.sampled_from(["rejected"] * 3 + ["repeated", "dropped", "foreign", "bare"]))
+        at = draw(st.integers(0, len(items)))
+        name = draw(st.sampled_from(sorted(flags)))
+        if fault == "rejected":  # the last of a repeated flag counts
+            items.append([name, draw(st.sampled_from(flags[name][1]))])
+        elif fault == "repeated":
+            items.insert(at, [name, draw(st.sampled_from(flags[name][0]))])
+        elif fault == "foreign":
+            items.insert(at, [draw(st.sampled_from(FOREIGN)), None])
+        elif at == len(items) or fault == "dropped" and command == "verify":
+            continue
+        elif fault == "dropped":
+            del items[at]
+        else:
+            items[at][1] = None
+    argv = [command]
+    for name, value in items:
+        if value is None:
+            argv.append(name)
+        elif draw(st.booleans()):
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name, value]
+    return argv
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(command_lines())
+@example(["orbits", "--degree", "18"])  # the listing limits, which the draws seldom reach
+@example(["genus", "--g", "13", "--format", "json"])
+def test_any_command_line_ends_in_an_exit_code_never_an_exception(argv):
+    # bad input as a law: exit 0, 1 or 2, and on 2 one `error:` line
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for name in ("HYPCOUNT_ORDER", "HYPCOUNT_CACHE_DIR"):
+            mp.delenv(name, raising=False)
+        mp.chdir(tmp)  # a bare --out takes a next token such as 5 as its file name
+        open(os.path.join(tmp, "afile"), "w").close()
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+        except SystemExit as exc:
+            pytest.fail(f"SystemExit({exc.code}) escaped main for {argv}")
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", argv
 
 
 def test_reader_closing_stdout_early_is_not_an_error():

@@ -211,6 +211,32 @@ def test_cosets_are_closed_under_translation(which):
         assert {kummer.translate_mask(m, t) for m in members} == members
 
 
+def translate_pointwise(mask, t):
+    return sum(1 << (v ^ t) for v in range(16) if mask >> v & 1)
+
+
+def test_translate_mask_equals_pointwise_translation():
+    # the block swaps against the definition, for every t on every 7th mask,
+    # the masks at both ends, and masks with bits past the 16 points
+    masks = [*range(0, 1 << 16, 7), 0xFFFF, 1 << 15, 1 << 16 | 0x1234, -1]
+    for t in range(16):
+        for m in masks:
+            assert kummer.translate_mask(m, t) == translate_pointwise(m & 0xFFFF, t), (m, t)
+
+
+def test_support_classes_equal_pointwise_construction():
+    # one support per class, the first met, with its coset and stabilizer,
+    # built as the least translate keyed them
+    classes = {}
+    for which in ("even", "odd"):
+        for P in kummer.coset_members(which):
+            key = min(translate_pointwise(P, t) for t in range(16))
+            if key not in classes:
+                stab = tuple(t for t in range(1, 16) if translate_pointwise(P, t) == P)
+                classes[key] = (P, which, stab)
+    assert kummer._support_classes() == tuple(classes.values())
+
+
 def test_size4_even_sets_are_the_rows():
     rows = {kummer.translate_mask(ROW0, t) for t in (0, 1, 2, 3)}
     small = {m for m in kummer.coset_members("even") if kummer.mask_size(m) == 4}
