@@ -43,22 +43,8 @@ def mask_from_points(points) -> int:
     return m
 
 
-def points_of_mask(mask: int):
-    return [v for v in POINTS if mask >> v & 1]
-
-
 def mask_size(mask: int) -> int:
     return (mask & FULL_MASK).bit_count()
-
-
-def translate_mask(mask: int, t: int) -> int:
-    """The mask of {v ^ t : v in mask}: one swap of 2^i-blocks per set bit i of t."""
-    mask &= FULL_MASK
-    for i, half in enumerate(_HALVES):
-        if t >> i & 1:
-            low, width = FULL_MASK ^ half, 1 << i
-            mask = (mask & low) << width | mask >> width & low
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +57,7 @@ def is_affine_plane(mask: int, k: int) -> bool:
     for its least point x0, i.e. x0 + y + z lies in S for all y, z in S."""
     if not 0 <= k <= 4:
         raise DomainError("plane dimension must be 0..4")
-    pts = points_of_mask(mask)
+    pts = [v for v in POINTS if mask >> v & 1]
     if len(pts) != 1 << k:
         return False
     x0 = pts[0]
@@ -203,10 +189,6 @@ def odd_support(config) -> int:
 _TRANSLATORS = tuple(itemgetter(*(v ^ t for v in POINTS)) for t in POINTS)
 
 
-def orbit_of(config) -> set:
-    return {translate(config) for translate in _TRANSLATORS}
-
-
 def orbit_rep(config):
     """Canonical representative: lexicographically least translate.  The
     translate by t starts with config[t], so only a t at a least entry can win."""
@@ -260,7 +242,7 @@ def _support_classes() -> tuple:
     for which in ("even", "odd"):
         for P in coset_members(which):
             if P not in seen:  # P is the first support met of its class
-                images = [translate_mask(P, t) for t in POINTS]
+                images = [sum(1 << (v ^ t) for v in POINTS if P >> v & 1) for t in POINTS]
                 seen.update(images)
                 classes.append((P, which, tuple(t for t in POINTS[1:] if images[t] == P)))
     return tuple(classes)

@@ -208,20 +208,16 @@ def test_admissible_matches_affine_indicator_on_every_mask():
 def test_cosets_are_closed_under_translation(which):
     members = set(kummer.coset_members(which))
     for t in range(16):
-        assert {kummer.translate_mask(m, t) for m in members} == members
+        assert {translate_pointwise(m, t) for m in members} == members
 
 
 def translate_pointwise(mask, t):
     return sum(1 << (v ^ t) for v in range(16) if mask >> v & 1)
 
 
-def test_translate_mask_equals_pointwise_translation():
-    # the block swaps against the definition, for every t on every 7th mask,
-    # the masks at both ends, and masks with bits past the 16 points
-    masks = [*range(0, 1 << 16, 7), 0xFFFF, 1 << 15, 1 << 16 | 0x1234, -1]
-    for t in range(16):
-        for m in masks:
-            assert kummer.translate_mask(m, t) == translate_pointwise(m & 0xFFFF, t), (m, t)
+def orbit_of(config):
+    # the sixteen translates of a profile: entry v of the translate by t is config[v ^ t]
+    return {tuple(config[v ^ t] for v in range(16)) for t in range(16)}
 
 
 def test_support_classes_equal_pointwise_construction():
@@ -238,7 +234,7 @@ def test_support_classes_equal_pointwise_construction():
 
 
 def test_size4_even_sets_are_the_rows():
-    rows = {kummer.translate_mask(ROW0, t) for t in (0, 1, 2, 3)}
+    rows = {translate_pointwise(ROW0, t) for t in (0, 1, 2, 3)}
     small = {m for m in kummer.coset_members("even") if kummer.mask_size(m) == 4}
     assert small == rows
 
@@ -258,8 +254,8 @@ def test_orbits_degree4():
     assert len(orbits) == 1
     assert orbits[0].size == 4
     # the orbit is the four rows; its lex-least member marks row 3
-    assert profile_from(ROW0) in kummer.orbit_of(orbits[0].rep)
-    assert orbits[0].rep == min(kummer.orbit_of(profile_from(ROW0)))
+    assert profile_from(ROW0) in orbit_of(orbits[0].rep)
+    assert orbits[0].rep == min(orbit_of(profile_from(ROW0)))
     assert orbits[0].coset == "even"
 
 
@@ -324,7 +320,7 @@ def test_orbit_rep_is_lex_least():
     rng = random.Random(77)
     orbits = kummer.translation_orbits(8)
     for o in rng.sample(orbits, 10):
-        assert o.rep == min(kummer.orbit_of(o.rep))
+        assert o.rep == min(orbit_of(o.rep))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -335,7 +331,7 @@ def test_orbit_rep_is_lex_least():
 @example((3, 3, 1, 3, 0, 3, 0, 3, 0, 3, 1, 1, 0, 1, 2, 1))  # four tied minima, the last one least
 def test_orbit_rep_is_least_of_all_translates(config):
     # orbit_rep compares only the translates that start with min(config)
-    assert kummer.orbit_rep(config) == min(kummer.orbit_of(config))
+    assert kummer.orbit_rep(config) == min(orbit_of(config))
 
 
 @pytest.mark.parametrize("degree", [4, 6, 8, 10, 12])

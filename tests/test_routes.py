@@ -128,6 +128,15 @@ def test_legendre_check_reaches_both_sides():
     assert {"legendre_series", "pochhammer", "_negative_power", "sigma1_table"} <= names
 
 
+def test_pochhammer_split_reaches_only_pochhammer_with_both_signs():
+    # the finite products are inline, so pochhammer is the one qforms builder
+    # reached; the sign -1 branch divides by (q;q), so the inverse runs too
+    (ok, _), seen = reached(verify.check_poch_split, 32, random.Random(0))
+    assert ok
+    assert {name for file, name in seen if file == "qforms.py"} == {"pochhammer"}
+    assert ("fps.py", "_negative_power") in seen
+
+
 def test_sine_substitution_routes_share_only_the_walker():
     data = {(2, 1, 0, 3): 1, (1, 1, 0, 0): Fraction(-2, 3), (0, 0, 4, 1): 5}
     formal, seen = reached(trig.sine_substitute, data, 9)
@@ -143,8 +152,8 @@ def test_sine_substitution_routes_share_only_the_walker():
 
 def perturbed(value):
     """A Series gains one q^5 term, a tuple (a block's columns, nested-sum
-    levels, Chebyshev coefficients) has its entry 1 perturbed, an int grows
-    by 1."""
+    levels, Chebyshev coefficients) has its entry 1 perturbed, a number (an
+    int, or a Fraction from the sine-substitution transfers) grows by 1."""
     if isinstance(value, tuple):
         return value[:1] + (perturbed(value[1]),) + value[2:]
     if isinstance(value, Series):
@@ -170,6 +179,8 @@ PERTURBED_SIDES = [
     ("pochhammer-split", qforms, "pochhammer"),
     ("h-ode", trig, "two_sin_half"),
     ("C1-from-A1", qforms, "macmahon_C_direct"),
+    ("sine-substitution", trig, "_transfer"),
+    ("sine-substitution", trig, "_split_transfer"),
 ]
 
 
