@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import comb, isqrt
+from operator import add
 
 from .errors import DomainError
-from .fps import Series, _unpack
+from .fps import Series
 from .numtheory import sigma1_table
 
 # ---------------------------------------------------------------------------
@@ -45,55 +46,39 @@ def series_E2(order: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# MacMahon sums: direct nested-tuple construction
+# MacMahon sums: direct construction by Newton's identities
 # ---------------------------------------------------------------------------
 
 
-def _nested_sums(k: int, order: int, odd_steps: bool) -> tuple:
-    """The levels S_0 = 1, S_1, ..., S_k, each to the full order: S_r sums,
-    over strictly increasing r-tuples of indices m (every positive integer,
-    or only the odd ones), the products of the factors
-    q^m/(1-q^m)^2 = sum_{j>=1} j q^(jm), all built in one pass over m.
-
-    At each m the factor times S_(r-1) is added into S_r for r = k down to
-    1, so S_r gains exactly the tuples whose last index is m and no index
-    repeats.  S_r has valuation r + step r(r-1)/2 (the indices 1, 1+step,
-    ...), so the levels past the order are zero and left off the tuple, and
-    a step is skipped when q^m S_(r-1) starts past the order.
-
-    Each S_r is one big int of w-bit fields (Kronecker substitution, as in
-    the fps kernel): q^m S_(r-1) is a shift, and a division by 1 - q^m is
-    doubling steps t (1 + q^m)(1 + q^2m)(1 + q^4m)...  Every field is a
-    nonnegative sub-sum of [q^n] A_1^r <= C(n-1, r-1) sigma_max^r (a sum over
-    the compositions of n into r parts), so no field at or below the order
-    overflows; fields above it only carry upward, and the mask drops them.
-    """
-    step = 2 if odd_steps else 1
-    low = [r + step * r * (r - 1) // 2 for r in range(k + 1)]
-    top = sum(1 for v in low[1:] if v <= order)  # the valuations increase with r
-    sums = [1] + [0] * top
-    if top:
-        sigma_max = max(sigma1_table(order)[1 : order + 1])
-        # one spare bit: fps._unpack reads signed fields
-        w = max(comb(order - 1, r - 1) * sigma_max**r for r in range(1, top + 1)).bit_length() + 1
-        mask = (1 << (w * (order + 1))) - 1
+def _power_sums(top: int, order: int, step: int) -> tuple:
+    """p_1, ..., p_top: p_j sums w_m^j = sum_(d>=j) C(d+j-1, 2j-1) q^(dm) over
+    m = 1, 1 + step, ..., so [q^n] p_j is a divisor sum over those m | n."""
+    sums = []
+    for j in range(1, top + 1):
+        weights = [comb(d + j - 1, 2 * j - 1) for d in range(1, order + 1)]
+        coeffs = [0] * (order + 1)
         for m in range(1, order + 1, step):
-            # (1 + q^m)(1 + q^2m)... over the spans is sum_(j < 2^i) q^(jm), past q^(order - m)
-            spans = [w * m << i for i in range((order // m - 1).bit_length())]
-            for r in range(top, 0, -1):
-                if m + low[r - 1] > order:
-                    continue
-                term = sums[r - 1] << (w * m)  # q^m S_(r-1)
-                for _ in range(2):  # divide by 1 - q^m twice
-                    for span in spans:
-                        term += term << span
-                    term &= mask
-                sums[r] += term
+            coeffs[m::m] = map(add, coeffs[m::m], weights)  # q^(dm), d = 1, 2, ...
+        sums.append(Series(coeffs, order))
+    return tuple(sums)
+
+
+def _nested_sums(k: int, order: int, odd_steps: bool) -> tuple:
+    """The levels S_0 = 1, S_1, ..., S_k to the full order: S_r sums, over
+    strictly increasing r-tuples of indices m (every positive integer, or
+    only the odd ones), the products of the w_m = q^m/(1-q^m)^2.  S_r is
+    their elementary symmetric function e_r (MacMahon 1920), so Newton's
+    identities r S_r = sum_(j=1..r) (-1)^(j-1) S_(r-j) p_j give it from the
+    power sums p_j; each division by r is exact.  S_r has valuation
+    r + step r(r-1)/2, so the levels past the order are left off the tuple."""
+    step = 2 if odd_steps else 1
+    # levels 1..top start at or below the order; the valuations increase with r
+    top = next((r for r in range(k) if r + 1 + step * (r + 1) * r // 2 > order), k)
+    signed = [p if j % 2 else -p for j, p in enumerate(_power_sums(top, order, step), 1)]
     levels = [Series.one(order)]
-    for total in sums[1:]:
-        coeffs = []
-        _unpack(total, order + 1, w, coeffs)
-        levels.append(Series(coeffs, order))
+    for r in range(1, top + 1):  # signed[j - 1] = (-1)^(j-1) p_j
+        terms = (levels[r - j] * signed[j - 1] for j in range(1, r + 1))
+        levels.append(sum(terms, Series.zero(order)) / r)
     return tuple(levels)
 
 

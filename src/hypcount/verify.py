@@ -114,7 +114,7 @@ def check_coeff_denominators(order, rng):
 
 def check_macmahon_A_cross(order, rng):
     o = max(order, 256)
-    nested = qforms._nested_sums(5, o, odd_steps=False)  # levels 0..5 in one pass
+    nested = qforms._nested_sums(5, o, odd_steps=False)  # levels 0..5 from five power sums
     for k in range(1, 6):
         if nested[k] != qforms.macmahon_A_recursive(k, o):
             return False, f"A_{k} nested sum != recursion at order {o}"

@@ -156,12 +156,13 @@ def test_C_past_valuation_is_zero_without_recursing():
     assert qforms.macmahon_C(1000, 4) == qforms.macmahon_C_direct(1000, 4) == Series.zero(4)
 
 
-# -- nested sums: packed big ints against the coefficient loop ---------------
+# -- nested sums: Newton's identities against the coefficient loop -----------
 
 
 def nested_sums_by_coefficients(k, order, odd_steps):
-    # the same pass over m as qforms._nested_sums, one coefficient at a time,
-    # every level to the full order
+    # the nested sums from their definition, one coefficient at a time: at
+    # each m the factor times S_(r-1) is added into S_r for r = k down to 1,
+    # so S_r gains the tuples whose last index is m; every level to the full order
     step = 2 if odd_steps else 1
     sums = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(k)]
     for m in range(1, order + 1, step):
@@ -188,14 +189,39 @@ def nested_sums_by_coefficients(k, order, odd_steps):
 @example(7, 48, True)
 @example(5, 1024, False)
 @example(5, 1024, True)
-def test_packed_nested_sum_matches_coefficient_loop(k, order, odd_steps):
-    # every level the pass returns is the oracle's; the levels it leaves off
-    # are the zero ones past the order
+def test_nested_sums_match_coefficient_loop(k, order, odd_steps):
+    # every level returned is the oracle's and nonzero past S_0; the levels
+    # left off are the zero ones past the order, so the tuple length is fixed
     got = qforms._nested_sums(k, order, odd_steps)
     want = nested_sums_by_coefficients(k, order, odd_steps)
     assert list(got) == want[: len(got)]
+    assert not any(s.is_zero() for s in got[1:])
     assert all(s.is_zero() for s in want[len(got) :])
     assert all(set(map(type, s.coeffs)) <= {int} for s in got)
+
+
+def test_nested_sums_build_no_power_sum_past_the_valuation_cap(monkeypatch):
+    # at order 4 only S_1 and S_2 start at or below the order, whatever k is
+    asked = []
+    original = qforms._power_sums
+    monkeypatch.setattr(qforms, "_power_sums", lambda top, *a: asked.append(top) or original(top, *a))
+    for odd_steps in (False, True):
+        assert len(qforms._nested_sums(1000, 4, odd_steps)) == 3
+    assert asked and max(asked) <= 2
+
+
+def test_power_sums_match_powers_of_the_factors():
+    # p_j = sum over m = 1, 1 + step, ... of w_m^j, w_m = q^m/(1-q^m)^2 = sum_i i q^(im);
+    # the factors with m past the order vanish, so one oracle at 120 covers every order
+    top = 120
+    for step in (1, 2):
+        factors = [Series.from_terms({i * m: i for i in range(1, top // m + 1)}, top)
+                   for m in range(1, top + 1, step)]
+        want = [sum((w**j for w in factors), Series.zero(top)) for j in range(1, 5)]
+        for order in range(top + 1):
+            got = qforms._power_sums(4, order, step)
+            assert list(got) == [p.truncate(order) for p in want]
+            assert all(set(map(type, p.coeffs)) <= {int} for p in got)
 
 
 # -- E, E2, delta, pochhammer, theta ------------------------------------------

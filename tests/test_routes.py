@@ -81,7 +81,18 @@ def test_macmahon_cross_checks_reach_the_nested_pass_and_the_recursion():
     ):
         (ok, _), seen = reached(check, 32, random.Random(0))
         assert ok
-        assert {("qforms.py", "_nested_sums"), ("qforms.py", recursion)} <= seen
+        assert {("qforms.py", "_nested_sums"), ("qforms.py", "_power_sums"),
+                ("qforms.py", recursion)} <= seen
+
+
+def test_direct_macmahon_route_reaches_no_divisor_sieve_and_no_recursion():
+    # the power sums are divisor sums of binomials, built without the sigma_1
+    # sieve that A1-divisor-series checks, or the recursions they are checked against
+    for direct in (qforms.macmahon_A_direct, qforms.macmahon_C_direct):
+        _, seen = reached(direct, 5, 256)
+        assert ("qforms.py", "_power_sums") in seen
+        names = {name for _, name in seen}
+        assert not names & {"sigma1_table", "series_A1", "macmahon_A_recursive", "macmahon_C_recursive"}
 
 
 def test_andrews_rose_sides_reach_the_recursion_and_no_theta_block():
@@ -152,8 +163,9 @@ def test_sine_substitution_routes_share_only_the_walker():
 
 def perturbed(value):
     """A Series gains one q^5 term, a tuple (a block's columns, nested-sum
-    levels, Chebyshev coefficients) has its entry 1 perturbed, a number (an
-    int, or a Fraction from the sine-substitution transfers) grows by 1."""
+    levels, power sums, Chebyshev coefficients) has its entry 1 perturbed, a
+    number (an int, or a Fraction from the sine-substitution transfers) grows
+    by 1."""
     if isinstance(value, tuple):
         return value[:1] + (perturbed(value[1]),) + value[2:]
     if isinstance(value, Series):
@@ -172,8 +184,10 @@ PERTURBED_SIDES = [
     ("two-route", trig, "theta_block_q"),
     ("two-route", counting, "_factor"),
     ("macmahon-A-cross", qforms, "_nested_sums"),
+    ("macmahon-A-cross", qforms, "_power_sums"),
     ("macmahon-A-cross", qforms, "macmahon_A_recursive"),
     ("macmahon-C-cross", qforms, "_nested_sums"),
+    ("macmahon-C-cross", qforms, "_power_sums"),
     ("macmahon-C-cross", qforms, "macmahon_C_recursive"),
     ("andrews-rose-G", trig, "theta_block_q"),
     ("pochhammer-split", qforms, "pochhammer"),
