@@ -133,23 +133,21 @@ def andrews_rose_G(order: int, xdeg: int) -> tuple:
 @lru_cache(maxsize=None)
 def two_sin_half(order: int) -> Series:
     """2 sin(z/2) = sum_l (-1/4)^l z^(2l+1) / (2l+1)!."""
-    return scaled_sin(Fraction(1, 2), order) * 2
+    return scaled_wave(Fraction(1, 2), order, True) * 2
 
 
-def scaled_sin(m: Fraction, order: int) -> Series:
-    """sin(m z) for rational m, as an exact z-series."""
-    terms = {}
-    for j in range(0, (order - 1) // 2 + 1):
-        terms[2 * j + 1] = Fraction((-1) ** j) * m ** (2 * j + 1) / factorial(2 * j + 1)
-    return Series.from_terms(terms, order)
-
-
-def scaled_cos(m: Fraction, order: int) -> Series:
-    """cos(m z) for rational m."""
-    terms = {0: 1}
-    for j in range(1, order // 2 + 1):
-        terms[2 * j] = Fraction((-1) ** j) * m ** (2 * j) / factorial(2 * j)
-    return Series.from_terms(terms, order)
+def scaled_wave(m, order: int, odd: bool) -> Series:
+    """sin(m z) if odd, else cos(m z), for rational m = a/b: (-1)^(n//2) a^n
+    b^(order-n) order!/n! at z^n of that parity, over b^order order!."""
+    if order < 0:
+        raise DomainError("order must be >= 0")
+    a, b, num = m.numerator, m.denominator, [0] * (order + 1)
+    term = den = b ** order * factorial(order)
+    for n in range(order + 1):
+        if n % 2 == odd:
+            num[n] = -term if n // 2 % 2 else term
+        term = term * a // (b * (n + 1))  # exact: a^(n+1) b^(order-n-1) order!/(n+1)!
+    return Series._of(num, den, order)
 
 
 def z_of_x(order: int) -> Series:
@@ -184,7 +182,6 @@ def theta_block_from_lattice_sum(kind: str, bound: int, order: int) -> tuple:
         raise BoundTooSmall(f"need bound^2 > order (bound={bound}, order={order})")
     if kind not in ("h", "g"):
         raise DomainError("block kind must be 'h' or 'g'")
-    wave = scaled_sin if kind == "h" else scaled_cos
     degrees = [m for m in range(1 if kind == "h" else 2, 2 * bound + 1, 2) if m * m // 4 <= order]
     xdeg = max(degrees, default=0)
     zx = z_of_x(xdeg)
@@ -195,7 +192,7 @@ def theta_block_from_lattice_sum(kind: str, bound: int, order: int) -> tuple:
     if kind == "g":
         cols[0][0] = 1
     for m in degrees:
-        zser = wave(Fraction(m, 2), xdeg)
+        zser = scaled_wave(Fraction(m, 2), xdeg, kind == "h")
         xser = sum((p * c for p, c in zip(powers, zser.coeffs) if c), Series.zero(xdeg))
         for i, c in enumerate(xser.coeffs):
             if c:
@@ -291,16 +288,18 @@ def ode_holds(h: Series, order: int) -> bool:
     convolution of their sequences.  So the residuals at z^n scale to
     H_(n+2) + H_n and sum_k C(n,k) (H_(k+1) H_(n-k+2) + H_k H_(n-k+1)), with
     small integer entries where the Series route multiplies coefficients
-    over a denominator near (order)!.  Every H_n of 2 sin(z/2) is 0 or +-2,
-    and any other value fails.  The convolution pairs k with n - k, which
-    share a running binomial, and skips each n whose terms are all zero."""
+    over a denominator near (order)!.  Each H_n, read by divmod from the
+    integers, must be 0 or +-2, as for 2 sin(z/2).  The convolution pairs
+    k with n - k (one running binomial) and skips each all-zero n."""
+    if h.order < order + 2:
+        raise DomainError(f"h needs order {order + 2} for the identities to order {order}, has {h.order}")
     H, scale = [], 1
-    for n, c in enumerate(h.coeffs[: order + 3]):
-        H.append(c * scale)
+    for n, c in enumerate(h._num[: order + 3]):
+        value, rest = divmod(c * scale, h._den)
+        if rest or value not in (0, 2, -2):
+            return False
+        H.append(value)
         scale *= 2 * (n + 1)
-    if not all(c in (0, 2, -2) for c in H):
-        return False
-    H = list(map(int, H))  # from Fractions of denominator 1
     for n in range(order + 1):
         if H[n + 2] + H[n]:
             return False

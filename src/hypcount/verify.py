@@ -255,10 +255,10 @@ def check_cheb_structure(order, rng):
 
 
 def check_cheb_odd_sine(order, rng):
-    sin_z = trig.scaled_sin(1, 31)
+    sin_z = trig.scaled_wave(1, 31, True)
     for n in range(0, 7):
         lhs = Series(trig.chebyshev(2 * n + 1), 31).substitute(sin_z)
-        if lhs != trig.scaled_sin(2 * n + 1, 31) * (-1) ** n:
+        if lhs != trig.scaled_wave(2 * n + 1, 31, True) * (-1) ** n:
             return False, f"T_{2 * n + 1}(sin z) != (-1)^{n} sin({2 * n + 1}z)"
     return True, "T_(2n+1)(sin z) = (-1)^n sin((2n+1)z) exactly to z^31, n <= 6"
 

@@ -62,14 +62,14 @@ def reached(call, *args):
 def test_h_ode_reaches_the_library_half_angle_sine():
     (ok, _), seen = reached(verify.check_h_ode, 32, random.Random(0))
     assert ok
-    assert {("trig.py", "two_sin_half"), ("trig.py", "ode_holds")} <= seen
+    assert {("trig.py", "two_sin_half"), ("trig.py", "scaled_wave"), ("trig.py", "ode_holds")} <= seen
 
 
 def test_lattice_side_reaches_no_chebyshev_code():
     for kind in ("h", "g"):
         block, seen = reached(trig.theta_block_from_lattice_sum, kind, 5, 16)
         assert block == trig.theta_block_q(kind, 16)
-        assert ("trig.py", "z_of_x") in seen
+        assert {("trig.py", "z_of_x"), ("trig.py", "scaled_wave")} <= seen
         names = {name for _, name in seen}
         assert not names & {"chebyshev", "cheb_half_doubled", "theta_block_q", "_block_degrees"}
 
@@ -158,7 +158,7 @@ def test_sine_substitution_routes_share_only_the_walker():
     assert formal == closed
     names = {name for _, name in seen}
     assert {"_split_transfer", "odd_split_count"} <= names
-    assert not names & {"_transfer", "two_sin_half", "scaled_sin"}
+    assert not names & {"_transfer", "two_sin_half", "scaled_wave"}
 
 
 def perturbed(value):
@@ -181,6 +181,7 @@ PERTURBED_SIDES = [
     ("andrews-rose-G", qforms, "macmahon_C_recursive"),
     ("lattice-sum-blocks", trig, "z_of_x"),
     ("lattice-sum-blocks", trig, "cheb_half_doubled"),
+    ("lattice-sum-blocks", trig, "scaled_wave"),
     ("two-route", trig, "theta_block_q"),
     ("two-route", counting, "_factor"),
     ("macmahon-A-cross", qforms, "_nested_sums"),
@@ -192,6 +193,7 @@ PERTURBED_SIDES = [
     ("andrews-rose-G", trig, "theta_block_q"),
     ("pochhammer-split", qforms, "pochhammer"),
     ("h-ode", trig, "two_sin_half"),
+    ("h-ode", trig, "scaled_wave"),
     ("C1-from-A1", qforms, "macmahon_C_direct"),
     ("sine-substitution", trig, "_transfer"),
     ("sine-substitution", trig, "_split_transfer"),

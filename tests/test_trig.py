@@ -176,6 +176,43 @@ def test_lattice_sum_rejects_unknown_block_kind(kind):
         trig.theta_block_from_lattice_sum(kind, 5, 24)
 
 
+# -- exact trig series ------------------------------------------------------------
+
+
+def wave_by_terms(m, order, odd):
+    # sum of (-1)^(n//2) m^n / n! over the n <= order of the wave's parity, one
+    # Fraction per term
+    terms = {n: (-1) ** (n // 2) * Fraction(m) ** n / factorial(n)
+             for n in range(order + 1) if n % 2 == odd}
+    return Series.from_terms(terms, order)
+
+
+RATIONALS = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(RATIONALS, st.integers(0, 80), st.booleans())
+@example(Fraction(1, 2), 0, True)
+@example(Fraction(1, 2), 0, False)
+@example(0, 0, False)
+@example(0, 0, True)
+@example(0, 17, False)
+@example(Fraction(0), 17, True)
+@example(-3, 80, False)
+@example(Fraction(-2, 3), 80, True)
+def test_scaled_wave_is_its_series(m, order, odd):
+    # sin(m z) if odd, else cos(m z), built on integer numerators over one
+    # denominator, against its definition term by term
+    assert trig.scaled_wave(m, order, odd) == wave_by_terms(m, order, odd)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+@pytest.mark.parametrize("order", [-1, -7])
+def test_scaled_wave_rejects_a_negative_order(order, odd):
+    with pytest.raises(DomainError, match="order must be >= 0"):
+        trig.scaled_wave(Fraction(1, 2), order, odd)
+
+
 def test_change_of_variable_roundtrip():
     # z(x(z)) = z as formal series
     order = 13
@@ -291,6 +328,14 @@ def test_h_ode_divided_powers_agree_with_series_route(order, index, how):
 
 @pytest.mark.parametrize("order", [16, 64])
 def test_h_ode_mutants_fail_both_routes(order):
-    for h in (trig.scaled_sin(1, order + 2), trig.scaled_sin(Fraction(1, 3), order + 2) * 2):
+    sines = (trig.scaled_wave(1, order + 2, True), trig.scaled_wave(Fraction(1, 3), order + 2, True) * 2)
+    for h in sines:
         assert not trig.ode_holds(h, order)
         assert not ode_holds_by_series(h, order)
+
+
+@pytest.mark.parametrize("h_order, order", [(3, 4), (0, 0), (1, 0), (5, 4), (17, 16)])
+def test_ode_holds_rejects_a_short_h(h_order, order):
+    # the identities to z^order read h to z^(order + 2)
+    with pytest.raises(DomainError, match=f"h needs order {order + 2}"):
+        trig.ode_holds(trig.two_sin_half(h_order), order)
