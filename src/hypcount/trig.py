@@ -280,17 +280,20 @@ def ode_residuals(h: Series):
 
 
 def ode_holds(h: Series, order: int) -> bool:
-    """h'' + h/4 = 0 and h' h'' + h h'/4 = 0 to the given order, in scaled
-    divided powers (Wilf, generatingfunctionology, Ch. 2); h needs order + 2.
+    """h'' + h/4 = 0 and h' h'' + h h'/4 = 0 to the given order, with h(0) = 0
+    and h'(0) = 1, in scaled divided powers (Wilf, generatingfunctionology,
+    Ch. 2); h needs order + 2.
 
     With H_n = 2^n n! [z^n] h, h = sum H_n (z/2)^n / n!: a derivative shifts
-    H and halves, and a product of two such series is the binomial
-    convolution of their sequences.  So the residuals at z^n scale to
-    H_(n+2) + H_n and sum_k C(n,k) (H_(k+1) H_(n-k+2) + H_k H_(n-k+1)), with
+    H and halves, so the first residual at z^n scales to H_(n+2) + H_n, with
     small integer entries where the Series route multiplies coefficients
     over a denominator near (order)!.  Each H_n, read by divmod from the
-    integers, must be 0 or +-2, as for 2 sin(z/2).  The convolution pairs
-    k with n - k (one running binomial) and skips each all-zero n."""
+    integers, must be 0 or +-2, and H_0 = 0, H_1 = 2 leave 2 sin(z/2) the
+    one solution.  The second identity is h' (h'' + h/4): its residual at
+    z^n is the binomial convolution sum_k C(n,k) H_(k+1) (H_(n-k+2) + H_(n-k))
+    of first residuals to z^n, so it holds wherever the first does."""
+    if order < 0:
+        raise DomainError("order must be >= 0")
     if h.order < order + 2:
         raise DomainError(f"h needs order {order + 2} for the identities to order {order}, has {h.order}")
     H, scale = [], 1
@@ -300,18 +303,7 @@ def ode_holds(h: Series, order: int) -> bool:
             return False
         H.append(value)
         scale *= 2 * (n + 1)
-    for n in range(order + 1):
-        if H[n + 2] + H[n]:
-            return False
-        terms = [H[k + 1] * H[n - k + 2] + H[k] * H[n - k + 1] for k in range(n + 1)]
-        if any(terms):
-            total, binom = 0, 1
-            for k in range(n // 2 + 1):
-                total += binom * (terms[k] + terms[n - k] if 2 * k < n else terms[k])
-                binom = binom * (n - k) // (k + 1)
-            if total:
-                return False
-    return True
+    return H[:2] == [0, 2] and not any(H[n + 2] + H[n] for n in range(order + 1))
 
 
 def h_ode_check(order: int) -> bool:

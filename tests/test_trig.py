@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypcount.errors import BoundTooSmall, DomainError
 from hypcount.fps import Series
-from hypcount import qforms, trig
+from hypcount import qforms, trig, verify
 
 
 # -- Chebyshev polynomials ----------------------------------------------------
@@ -293,8 +293,9 @@ def test_h_ode_perturbed_fails():
 
 
 def ode_holds_by_series(h, order):
+    # h(0) = 0 and h'(0) = 1 pin 2 sin(z/2) among the solutions
     r1, r2 = trig.ode_residuals(h)
-    return r1.truncate(order).is_zero() and r2.truncate(order).is_zero()
+    return h.coeffs[:2] == (0, 1) and r1.truncate(order).is_zero() and r2.truncate(order).is_zero()
 
 
 PERTURBATIONS = {
@@ -314,6 +315,7 @@ PERTURBATIONS = {
 @example(256, 0, "none")
 @example(256, 258, "flip")
 @example(256, 257, "zero")
+@example(0, 1, "flip")
 def test_h_ode_divided_powers_agree_with_series_route(order, index, how):
     # one coefficient of 2 sin(z/2) changed at or below z^(order + 2), the
     # range both routes read; the divided-power route also fails every H_n
@@ -339,3 +341,76 @@ def test_ode_holds_rejects_a_short_h(h_order, order):
     # the identities to z^order read h to z^(order + 2)
     with pytest.raises(DomainError, match=f"h needs order {order + 2}"):
         trig.ode_holds(trig.two_sin_half(h_order), order)
+
+
+@pytest.mark.parametrize("h_order, order", [(0, -2), (2, -1), (5, -3)])
+def test_ode_holds_rejects_a_negative_order(h_order, order):
+    with pytest.raises(DomainError, match="order must be >= 0"):
+        trig.ode_holds(trig.two_sin_half(h_order), order)
+
+
+OTHER_SOLUTIONS = {
+    "zero": Series.zero,
+    "2cos(z/2)": lambda o: trig.scaled_wave(Fraction(1, 2), o, False) * 2,
+    "-2sin(z/2)": lambda o: trig.scaled_wave(Fraction(1, 2), o, True) * -2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_SOLUTIONS))
+def test_h_ode_fails_on_another_solution_of_the_ode(monkeypatch, name):
+    # each solves both identities; only h(0) = 0 and h'(0) = 1 tell it from 2 sin(z/2)
+    r1, r2 = trig.ode_residuals(OTHER_SOLUTIONS[name](34))
+    assert r1.is_zero() and r2.is_zero()
+    monkeypatch.setattr(trig, "two_sin_half", OTHER_SOLUTIONS[name])
+    assert not verify.check_h_ode(32, random.Random(0))[0]
+
+
+def binomial_convolution(H, n):
+    # sum_k C(n,k) (H_(k+1) H_(n-k+2) + H_k H_(n-k+1)): h' h'' + h h'/4 at
+    # z^n in scaled divided powers, pairing k with n - k by one running binomial
+    terms = [H[k + 1] * H[n - k + 2] + H[k] * H[n - k + 1] for k in range(n + 1)]
+    total, binom = 0, 1
+    for k in range(n // 2 + 1):
+        total += binom * (terms[k] + terms[n - k] if 2 * k < n else terms[k])
+        binom = binom * (n - k) // (k + 1)
+    return total
+
+
+def two_identity_ode_holds(h, order):
+    # both identities term by term, each H_n in {0, 2, -2}, no initial
+    # values: ode_holds, which sums no convolution, must agree with it once
+    # H_0 = 0 and H_1 = 2
+    H = [c * 2**n * factorial(n) for n, c in enumerate(h.coeffs[: order + 3])]
+    if any(value not in (0, 2, -2) for value in H):
+        return False
+    return not any(H[n + 2] + H[n] or binomial_convolution(H, n) for n in range(order + 1))
+
+
+def solution(H0, H1, length):
+    H = [H0, H1]
+    while len(H) < length:
+        H.append(-H[-2])
+    return H
+
+
+@pytest.mark.parametrize("H0, H1", [(a, b) for a in (0, 2, -2) for b in (0, 2, -2)])
+def test_second_identity_vanishes_on_every_solution_of_the_first(H0, H1):
+    # its residual is the convolution of h' with the first residual
+    H = solution(H0, H1, 123)
+    assert not any(binomial_convolution(H, n) for n in range(121))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.sampled_from([0, 2, -2]), st.sampled_from([0, 2, -2]),
+       st.lists(st.tuples(st.integers(0, 42), st.sampled_from([0, 2, -2, 1, 4, Fraction(2, 3)])),
+                min_size=1, max_size=2))
+@example(0, 0, 2, [(1, -2)])
+@example(3, 2, 0, [(0, 0)])
+@example(5, 0, 2, [(4, -2), (6, 2)])
+def test_ode_holds_is_the_two_identity_loop_with_initial_values(order, H0, H1, changes):
+    # a solution of H_(n+2) = -H_n from any (H_0, H_1), one or two entries changed
+    H = solution(H0, H1, order + 3)
+    for i, value in changes:
+        H[i % (order + 3)] = value
+    h = Series([Fraction(v, 2**n * factorial(n)) for n, v in enumerate(H)], order + 2)
+    assert trig.ode_holds(h, order) == (two_identity_ode_holds(h, order) and H[:2] == [0, 2])
